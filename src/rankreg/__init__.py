@@ -78,5 +78,21 @@ from .randomness import (
     sample_ground_truth,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DegenerateModelError", "LinkNotDifferentiableError", "QuadratureSpec", "ScoreDifferenceLaw",
+    "estimate_c1", "estimate_pe", "score_sigma", "solve_alpha_for_pe",
+    "ComparisonDataset", "CsvFormatError", "DeterministicLink", "LinkFunction", "LogisticLink",
+    "ModelSpec", "ProbitLink", "SampleSet", "flip_fraction", "generate_comparisons",
+    "generate_samples", "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv",
+    "write_samples_csv",
+    "AngleUndefinedError", "CovarianceEstimate", "DegreesOfFreedomError", "Estimate", "Metrics",
+    "angle", "compute_metrics", "estimate_beta", "estimate_covariance", "norm_error",
+    "write_estimate_csv",
+    "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "MinNQuery", "SweepResult",
+    "SweepSpec", "TrialConfig", "TrialExecutionError", "TrialFailure", "TrialResult", "find_min_n",
+    "find_min_n_detailed", "m_from_n", "read_min_n_config", "read_sweep_config", "realize_model",
+    "run_sweep", "run_trial", "trial_stream", "write_results",
+    "CovarianceSpec", "RngStream", "SpdMatrix", "make_covariance", "make_orthonormal_basis",
+    "sample_gaussian", "sample_ground_truth",
+]
 __version__ = "0.1.0"

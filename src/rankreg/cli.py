@@ -9,7 +9,7 @@ flags write identical files.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -20,6 +20,9 @@ from .calibration import QuadratureSpec, ScoreDifferenceLaw, estimate_c1, estima
 from .comparisons import (
     CsvFormatError,
     LogisticLink,
+    _names,
+    _read_csv,
+    _write_csv,
     generate_comparisons,
     generate_samples,
     read_comparisons_csv,
@@ -49,83 +52,46 @@ class TruthRecord:
     c1: Optional[float]
 
 
+def _sigma_names(d: int) -> list[str]:
+    return [f"sigma_{r + 1}_{c + 1}" for r in range(d) for c in range(d)]
+
+
+def _truth_names(d: int) -> list[str]:
+    return _names("beta", d) + _names("mu", d) + _sigma_names(d) + ["alpha", "c1"]
+
+
 def write_truth_csv(model, alpha: Optional[float], c1: Optional[float], path) -> None:
     """One row: weights, mean, row-major covariance, link slope, shrinkage constant.
 
     The slope column holds the word "deterministic" for noiseless generation,
     and the shrinkage column is then empty.
     """
-    d = model.d
-    header = (
-        [f"beta_{k + 1}" for k in range(d)]
-        + [f"mu_{k + 1}" for k in range(d)]
-        + [f"sigma_{r + 1}_{c + 1}" for r in range(d) for c in range(d)]
-        + ["alpha", "c1"]
-    )
-    row = (
-        [repr(float(v)) for v in model.beta]
-        + [repr(float(v)) for v in model.mu]
-        + [repr(float(v)) for v in model.sigma.entries.ravel()]
-        + ["deterministic" if alpha is None else repr(float(alpha))]
-        + ["" if c1 is None else repr(float(c1))]
-    )
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        f.write(",".join(row) + "\n")
+    row = [*model.beta.tolist(), *model.mu.tolist(), *model.sigma.entries.ravel().tolist()]
+    _write_csv(path, _truth_names(model.d), [row + ["deterministic" if alpha is None else alpha, c1]])
+
+
+def _read_row(path, header, dtype=float) -> np.ndarray:
+    """The data row of a one-row CSV; see :func:`rankreg.comparisons._read_csv`."""
+    rows = _read_csv(path, header, dtype)
+    if len(rows) != 1:
+        raise CsvFormatError(f"{path}: expected one data row, got {len(rows)}")
+    return rows[0]
 
 
 def read_truth_csv(path) -> TruthRecord:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        row = next(reader, None)
-    if not header or not header[0].startswith("beta_") or row is None:
-        raise CsvFormatError(f"{path}: not a truth file")
-    d = sum(1 for name in header if name.startswith("beta_"))
-    if len(header) != 2 * d + d * d + 2 or len(row) != len(header):
-        raise CsvFormatError(f"{path}: expected {2 * d + d * d + 2} columns for d={d}")
+    # A row for dimension d has (d + 1)^2 + 1 fields.  It is read as text since alpha and c1 may hold
+    # the noiseless markers; as object, because loadtxt allocates str reads 50000 rows at a time.
+    row = _read_row(path, lambda width: _truth_names(math.isqrt(width - 1) - 1), object)
+    d = math.isqrt(len(row) - 1) - 1
     try:
-        beta = np.array([float(v) for v in row[:d]])
+        beta = row[:d].astype(float)
         alpha = None if row[-2] == "deterministic" else float(row[-2])
         c1 = None if row[-1] == "" else float(row[-1])
     except ValueError as exc:
-        raise CsvFormatError(f"{path}: {exc}") from exc
+        raise CsvFormatError(f"{path}:2: {exc}") from exc
+    if not np.isfinite([*beta, *(v for v in (alpha, c1) if v is not None)]).all():
+        raise CsvFormatError(f"{path}:2: value is not finite")
     return TruthRecord(beta, alpha, c1)
-
-
-def _read_vector_csv(path, prefix: str) -> np.ndarray:
-    """One-row CSV with header `<prefix>_1,...,<prefix>_k`."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        row = next(reader, None)
-    if not header or header != [f"{prefix}_{k + 1}" for k in range(len(header))] or row is None:
-        raise CsvFormatError(f"{path}: expected a one-row CSV with header {prefix}_1,...")
-    if len(row) != len(header):
-        raise CsvFormatError(f"{path}:2: expected {len(header)} fields, got {len(row)}")
-    try:
-        return np.array([float(v) for v in row])
-    except ValueError as exc:
-        raise CsvFormatError(f"{path}:2: {exc}") from exc
-
-
-def _read_sigma_csv(path) -> SpdMatrix:
-    """Row-major flattened covariance with header sigma_1_1,...,sigma_d_d."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        row = next(reader, None)
-    if not header or row is None or len(row) != len(header):
-        raise CsvFormatError(f"{path}: expected a one-row CSV with header sigma_1_1,...")
-    d = round(len(header) ** 0.5)
-    expected = [f"sigma_{r + 1}_{c + 1}" for r in range(d) for c in range(d)]
-    if d * d != len(header) or header != expected:
-        raise CsvFormatError(f"{path}: header is not a row-major d x d sigma grid")
-    try:
-        entries = np.array([float(v) for v in row]).reshape(d, d)
-    except ValueError as exc:
-        raise CsvFormatError(f"{path}:2: {exc}") from exc
-    return SpdMatrix(entries)
 
 
 def cmd_generate(args) -> int:
@@ -162,9 +128,9 @@ def cmd_calibrate(args) -> int:
     else:
         if args.beta_file is None or args.sigma_file is None:
             args.parser.error("need either --sigma-s or both --beta-file and --sigma-file")
-        law = ScoreDifferenceLaw.from_parameters(
-            _read_vector_csv(args.beta_file, "beta"), _read_sigma_csv(args.sigma_file)
-        )
+        beta = _read_row(args.beta_file, lambda width: _names("beta", width))
+        sigma = _read_row(args.sigma_file, lambda width: _sigma_names(math.isqrt(width)))
+        law = ScoreDifferenceLaw.from_parameters(beta, SpdMatrix(sigma.reshape(math.isqrt(len(sigma)), -1)))
     quad = QuadratureSpec()
     alpha = args.alpha if args.alpha is not None else solve_alpha_for_pe(args.pe, law, quad)
     link = LogisticLink(alpha)

@@ -9,7 +9,7 @@ difference and exact ties are fair coin flips.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -146,7 +146,7 @@ class ComparisonDataset:
         for name, idx in (("i", i), ("j", j)):
             if idx.min() < 0 or idx.max() >= self.n:
                 raise ValueError(f"{name} contains indices outside [0, {self.n})")
-        if not np.isin(y, (-1, 1)).all():
+        if not (np.abs(y) == 1).all():
             raise ValueError("labels must be -1 or +1")
 
     @property
@@ -197,71 +197,107 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# CSV serialization: every table goes through _write_csv and _read_csv.
 
 
 class CsvFormatError(ValueError):
     """A CSV file does not match its expected schema; message carries file and line."""
 
 
+_BLOCK_ROWS = 1 << 13
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}_{k + 1}" for k in range(count)]
+
+
+def _field(value) -> str:
+    # str of a Python float is its repr, the shortest text that round-trips exactly
+    return "" if value is None else str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and ``rows`` (a 2-d array or a sequence of rows), each ending in "\\n".
+
+    None is written as an empty field.  Rows are formatted in blocks, so a large
+    array never exists in memory as one list of Python numbers or one string.
+    """
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
+
+
+def _read_csv(path, header, dtype) -> np.ndarray:
+    """Read the rows of a CSV into a 2-d array of ``dtype``, one column per header name.
+
+    ``header(width)`` gives the exact header expected of a file whose first line
+    has ``width`` fields.  A wrong header, a blank line, a row of another width,
+    a field that does not parse as ``dtype`` and, for floats, NaN or an infinity
+    raise :class:`CsvFormatError` naming the file and line.
+    """
+    lineno = 1
+
+    def body(f):
+        nonlocal lineno
+        for lineno, line in enumerate(f, start=2):
+            if line.isspace():
+                raise CsvFormatError(f"{path}:{lineno}: blank line")
+            yield line
+
+    with open(path) as f:
+        names = f.readline().rstrip("\n").split(",")
+        expected = header(len(names))
+        if names != expected:
+            raise CsvFormatError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
+                # the open file, not its text: loadtxt then holds only the parsed array
+                rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except CsvFormatError:
+            raise
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not rows.size:
+        return rows.reshape(0, len(names))
+    if rows.shape[1] != len(names):
+        raise CsvFormatError(f"{path}:2: expected {len(names)} fields, got {rows.shape[1]}")
+    if rows.dtype.kind == "f" and not np.isfinite(rows).all():
+        raise CsvFormatError(f"{path}:{np.isfinite(rows).all(axis=1).argmin() + 2}: value is not finite")
+    return rows
+
+
 def write_samples_csv(samples: SampleSet, path) -> None:
     """Write all 2N rows with header x_1,...,x_d, comparison half first."""
-    with open(path, "w", newline="") as f:
-        f.write(",".join(f"x_{k + 1}" for k in range(samples.d)) + "\n")
-        for row in samples.features:
-            # repr of a Python float is its shortest exact round-trip form
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, _names("x", samples.d), samples.features)
 
 
 def read_samples_csv(path) -> SampleSet:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header != [f"x_{k + 1}" for k in range(len(header))]:
-            raise CsvFormatError(f"{path}:1: expected header x_1,...,x_d, got {header}")
-        d = len(header)
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != d:
-                raise CsvFormatError(f"{path}:{lineno}: expected {d} fields, got {len(rec)}")
-            try:
-                rows.append([float(v) for v in rec])
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
-    if not rows or len(rows) % 2 != 0:
+    rows = _read_csv(path, lambda width: _names("x", width), float)
+    if not len(rows) or len(rows) % 2 != 0:
         raise CsvFormatError(f"{path}: expected an even, positive number of sample rows, got {len(rows)}")
-    return SampleSet(len(rows) // 2, np.array(rows))
+    return SampleSet(len(rows) // 2, rows)
 
 
 def write_comparisons_csv(dataset: ComparisonDataset, path) -> None:
     """Write triples with header i,j,y; indices are 1-based on disk."""
-    with open(path, "w", newline="") as f:
-        f.write("i,j,y\n")
-        for i, j, y in zip(dataset.i, dataset.j, dataset.y):
-            f.write(f"{i + 1},{j + 1},{y}\n")
+    _write_csv(path, ["i", "j", "y"], np.column_stack((dataset.i + 1, dataset.j + 1, dataset.y)))
 
 
 def read_comparisons_csv(path, n: int) -> ComparisonDataset:
     """Read triples written by :func:`write_comparisons_csv` for a size-n comparison half."""
-    i, j, y = [], [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["i", "j", "y"]:
-            raise CsvFormatError(f"{path}:1: expected header i,j,y, got {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 3:
-                raise CsvFormatError(f"{path}:{lineno}: expected 3 fields, got {len(rec)}")
-            try:
-                i.append(int(rec[0]))
-                j.append(int(rec[1]))
-                y.append(int(rec[2]))
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (1 <= i[-1] <= n and 1 <= j[-1] <= n):
-                raise CsvFormatError(f"{path}:{lineno}: index outside [1, {n}]")
-            if y[-1] not in (-1, 1):
-                raise CsvFormatError(f"{path}:{lineno}: label must be -1 or 1, got {y[-1]}")
-    if not y:
+    i, j, y = _read_csv(path, lambda width: ["i", "j", "y"], np.int64).T
+    if not len(y):
         raise CsvFormatError(f"{path}: no comparison rows")
-    return ComparisonDataset(n, np.array(i) - 1, np.array(j) - 1, np.array(y))
+    bad_index = (np.minimum(i, j) < 1) | (np.maximum(i, j) > n)
+    bad_label = np.abs(y) != 1
+    row = (bad_index | bad_label).argmax()
+    if bad_index[row]:
+        raise CsvFormatError(f"{path}:{row + 2}: index outside [1, {n}]")
+    if bad_label[row]:
+        raise CsvFormatError(f"{path}:{row + 2}: label must be -1 or 1, got {y[row]}")
+    return ComparisonDataset(n, i - 1, j - 1, y)

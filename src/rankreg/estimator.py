@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .comparisons import ComparisonDataset, ModelSpec, SampleSet
+from .comparisons import ComparisonDataset, ModelSpec, SampleSet, _names, _write_csv
 from .randomness import SpdMatrix
 
 
@@ -181,10 +181,5 @@ def compute_metrics(estimate: Estimate, spec: ModelSpec, c1: float) -> Metrics:
 
 def write_estimate_csv(estimate: Estimate, path) -> None:
     """Single-row CSV: n, m, then the estimated weight coordinates."""
-    with open(path, "w", newline="") as f:
-        f.write("n,m," + ",".join(f"beta_hat_{k + 1}" for k in range(estimate.d)) + "\n")
-        f.write(
-            f"{estimate.n_used},{estimate.m_used},"
-            + ",".join(repr(float(v)) for v in estimate.beta_hat)
-            + "\n"
-        )
+    row = [estimate.n_used, estimate.m_used, *estimate.beta_hat.tolist()]
+    _write_csv(path, ["n", "m", *_names("beta_hat", estimate.d)], [row])

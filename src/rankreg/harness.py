@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .comparisons import (
     DeterministicLink,
     LogisticLink,
     ModelSpec,
+    _write_csv,
     generate_comparisons,
     generate_samples,
 )
@@ -227,24 +228,25 @@ def _aggregate(grid_value, rows) -> GridAggregate:
     return GridAggregate(grid_value, count=len(ok), **agg)
 
 
-def _run_point(config: TrialConfig) -> list:
-    rows = []
-    for rep in range(config.repetitions):
-        try:
-            rows.append(run_trial(config, rep))
-        except TrialExecutionError as exc:
-            rows.append(TrialFailure(config, rep, str(exc)))
-    return rows
+def _sweep_points(spec: SweepSpec):
+    """Run the grid points in order, yielding each point's trial rows (failures included) and aggregate."""
+    for value, config in zip(spec.grid, spec.configs()):
+        rows = []
+        for rep in range(config.repetitions):
+            try:
+                rows.append(run_trial(config, rep))
+            except TrialExecutionError as exc:
+                rows.append(TrialFailure(config, rep, str(exc)))
+        yield rows, _aggregate(value, rows)
+
+
+def _sweep_result(spec: SweepSpec, points: list) -> SweepResult:
+    return SweepResult(spec, tuple(row for rows, _ in points for row in rows), tuple(agg for _, agg in points))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """All repetitions at every grid point; failed trials become rows, not aborts."""
-    rows, aggregates = [], []
-    for value, config in zip(spec.grid, spec.configs()):
-        point_rows = _run_point(config)
-        rows.extend(point_rows)
-        aggregates.append(_aggregate(value, point_rows))
-    return SweepResult(spec, tuple(rows), tuple(aggregates))
+    return _sweep_result(spec, list(_sweep_points(spec)))
 
 
 def find_min_n_detailed(query: MinNQuery) -> tuple[Optional[int], SweepResult]:
@@ -254,17 +256,12 @@ def find_min_n_detailed(query: MinNQuery) -> tuple[Optional[int], SweepResult]:
     larger grid points are never run.
     """
     spec = query.sweep_spec()
-    rows, aggregates = [], []
-    found = None
-    for value, config in zip(spec.grid, spec.configs()):
-        point_rows = _run_point(config)
-        rows.extend(point_rows)
-        agg = _aggregate(value, point_rows)
-        aggregates.append(agg)
+    points = []
+    for rows, agg in _sweep_points(spec):
+        points.append((rows, agg))
         if agg.angle_mean is not None and agg.angle_mean <= query.angle_threshold:
-            found = int(value)
-            break
-    return found, SweepResult(spec, tuple(rows), tuple(aggregates))
+            return int(agg.grid_value), _sweep_result(spec, points)
+    return None, _sweep_result(spec, points)
 
 
 def find_min_n(query: MinNQuery) -> Optional[int]:
@@ -278,8 +275,12 @@ TRIALS_HEADER = "d,n,m,lambda_min,target_pe,rep,norm_error,angle,c1,wall_time_s"
 AGG_HEADER = "grid_value,norm_error_mean,norm_error_std,angle_mean,angle_std,count"
 
 
-def _field(value) -> str:
-    return "" if value is None else repr(value)
+def _trial_row(row) -> list:
+    c = row.config
+    metrics = [None] * 4
+    if isinstance(row, TrialResult):
+        metrics = [row.norm_error, row.angle, row.c1_used, row.wall_time_seconds]
+    return [c.d, c.n, c.m, c.lambda_min, c.target_pe, row.repetition_index, *metrics]
 
 
 def write_results(result: SweepResult, path_prefix) -> None:
@@ -289,25 +290,8 @@ def write_results(result: SweepResult, path_prefix) -> None:
     empty, angle included, which distinguishes them from noiseless rows
     (empty norm_error and c1 but a present angle).
     """
-    with open(f"{path_prefix}.trials.csv", "w", newline="") as f:
-        f.write(TRIALS_HEADER + "\n")
-        for row in result.rows:
-            c = row.config
-            prefix = f"{c.d},{c.n},{c.m},{_field(c.lambda_min)},{_field(c.target_pe)},{row.repetition_index}"
-            if isinstance(row, TrialResult):
-                f.write(
-                    f"{prefix},{_field(row.norm_error)},{_field(row.angle)},"
-                    f"{_field(row.c1_used)},{_field(row.wall_time_seconds)}\n"
-                )
-            else:
-                f.write(f"{prefix},,,,\n")
-    with open(f"{path_prefix}.agg.csv", "w", newline="") as f:
-        f.write(AGG_HEADER + "\n")
-        for agg in result.aggregates:
-            f.write(
-                f"{_field(agg.grid_value)},{_field(agg.norm_error_mean)},{_field(agg.norm_error_std)},"
-                f"{_field(agg.angle_mean)},{_field(agg.angle_std)},{agg.count}\n"
-            )
+    _write_csv(f"{path_prefix}.trials.csv", TRIALS_HEADER.split(","), [_trial_row(row) for row in result.rows])
+    _write_csv(f"{path_prefix}.agg.csv", AGG_HEADER.split(","), [astuple(agg) for agg in result.aggregates])
 
 
 # ---------------------------------------------------------------------------

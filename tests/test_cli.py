@@ -4,6 +4,7 @@ One subprocess test checks the installed console script; everything else
 calls main(argv) directly so coverage and tracebacks stay usable.
 """
 
+import inspect
 import math
 import shutil
 import subprocess
@@ -11,7 +12,8 @@ import subprocess
 import numpy as np
 import pytest
 
-from rankreg import LogisticLink, QuadratureSpec, ScoreDifferenceLaw, estimate_c1, estimate_pe
+import rankreg
+from rankreg import CsvFormatError, LogisticLink, QuadratureSpec, ScoreDifferenceLaw, estimate_c1, estimate_pe
 from rankreg.cli import main, read_truth_csv
 
 
@@ -139,6 +141,32 @@ def test_estimate_rejects_malformed_comparisons(tmp_path, capsys):
     assert err.startswith("error:") and ":2:" in err
 
 
+def test_estimate_names_the_line_of_a_non_finite_sample(tmp_path, capsys):
+    out = _generate(tmp_path, d=2, n=10, m=5)
+    path = out.with_suffix(".samples.csv")
+    lines = path.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",")[1]
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "estimate",
+            "--samples", str(path),
+            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    assert rc == 1
+    assert f"{path}:5: value is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha,fragment", [("inf", "not finite"), ("oops", "oops")])
+def test_read_truth_csv_rejects_bad_values_at_their_line(tmp_path, alpha, fragment):
+    path = tmp_path / "t.truth.csv"
+    path.write_text(f"beta_1,mu_1,sigma_1_1,alpha,c1\n1.0,0.0,1.0,{alpha},0.5\n")
+    with pytest.raises(CsvFormatError, match=f":2: .*{fragment}"):
+        read_truth_csv(path)
+
+
 def test_estimate_needs_enough_covariance_rows(tmp_path, capsys):
     out = _generate(tmp_path, d=3, n=5, m=4)  # generation is fine, estimation is not
     rc = main(
@@ -238,6 +266,22 @@ def test_calibrate_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "beta_text,sigma_text,fragment",
+    [
+        ("beta_1\ninf\n", "sigma_1_1\n1.0\n", "beta.csv:2: value is not finite"),
+        ("beta_1\n1.0\n", "sigma_1_1,sigma_1_2\n1.0,0.0\n", "sigma.csv:1: expected header"),
+        ("beta_1\n1.0\n2.0\n", "sigma_1_1\n1.0\n", "expected one data row, got 2"),
+    ],
+)
+def test_calibrate_rejects_malformed_parameter_files(tmp_path, capsys, beta_text, sigma_text, fragment):
+    (tmp_path / "beta.csv").write_text(beta_text)
+    (tmp_path / "sigma.csv").write_text(sigma_text)
+    files = ["--beta-file", str(tmp_path / "beta.csv"), "--sigma-file", str(tmp_path / "sigma.csv")]
+    assert main(["calibrate", "--alpha", "1", *files]) == 1
+    assert fragment in capsys.readouterr().err
+
+
 def test_calibrate_unreachable_target(capsys):
     assert main(["calibrate", "--pe", "0.49999", "--sigma-s", "1"]) == 1
     assert "not reachable" in capsys.readouterr().err
@@ -295,6 +339,12 @@ def test_min_n_command_reports_not_found(tmp_path, capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_package_all_lists_every_public_name_and_no_module():
+    assert not [name for name in rankreg.__all__ if inspect.ismodule(getattr(rankreg, name))]
+    public = {name for name, value in vars(rankreg).items() if not name.startswith("_")}
+    assert set(rankreg.__all__) == {name for name in public if not inspect.ismodule(getattr(rankreg, name))}
 
 
 def test_console_script_is_installed():

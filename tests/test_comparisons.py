@@ -25,6 +25,7 @@ from rankreg import (
     write_comparisons_csv,
     write_samples_csv,
 )
+from rankreg.cli import main
 
 finite_x = st.floats(-30.0, 30.0)
 
@@ -225,12 +226,25 @@ def test_comparisons_csv_round_trip(tmp_path):
         ("a,b\n1.0,2.0\n", 1),  # wrong header
         ("x_1,x_2\n1.0\n", 2),  # short row
         ("x_1,x_2\n1.0,oops\n", 2),  # bad float
+        ("x_1,x_2\n1.0,2.0\n3.0,4.0,5.0\n", 3),  # long row
+        ("x_1,x_2\n1.0,2.0\nnan,4.0\n", 3),
+        ("x_1,x_2\n1.0,2.0\n3.0,-inf\n", 3),
+        ("x_1,x_2\n1.0,2.0\n1e400,4.0\n", 3),  # overflows to inf
+        ("x_1,x_2\n1.0,2.0\n\n3.0,4.0\n", 3),  # blank line
+        ("x_1,x_2\n1.0,2.0\n3.0,#4.0\n", 3),  # '#' is not a comment marker
     ],
 )
 def test_samples_csv_errors_carry_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(CsvFormatError, match=f":{line}:"):
+        read_samples_csv(path)
+
+
+def test_samples_csv_rejects_an_empty_body(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x_1,x_2\n")
+    with pytest.raises(CsvFormatError, match="got 0"):
         read_samples_csv(path)
 
 
@@ -250,6 +264,11 @@ def test_samples_csv_rejects_odd_row_count(tmp_path):
         ("i,j,y\n0,2,1\n", "index"),
         ("i,j,y\n1,6,1\n", "index"),
         ("i,j,y\n", "no comparison rows"),
+        ("i,j,y\n1,2,1\n1,2\n", ":3:"),
+        ("i,j,y\n1,2,1\n1,2,1.0\n", ":3:"),
+        ("i,j,y\n1,2,1\n\n1,2,1\n", ":3:"),
+        ("i,j,y\n1,2,1\n2,1,-1\n1,9,1\n", ":4: index"),
+        ("i,j,y\n1,2,1\n2,1,-2\n9,1,1\n", ":3: label"),
     ],
 )
 def test_comparisons_csv_errors(tmp_path, content, fragment):
@@ -257,3 +276,108 @@ def test_comparisons_csv_errors(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(CsvFormatError, match=fragment):
         read_comparisons_csv(path, 5)
+
+
+# --- golden bytes ------------------------------------------------------------
+# Fixed-seed outputs, byte for byte: a change to the CSV codec must reproduce them.
+
+
+def test_samples_csv_golden_bytes(tmp_path):
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(1, np.array([[-0.0, 1e-05], [1e16, 5e-324]])), path)
+    assert path.read_bytes() == b"x_1,x_2\n-0.0,1e-05\n1e+16,5e-324\n"
+
+
+GOLDEN_GENERATE = {
+    "quiet.samples.csv": """x_1,x_2
+0.642255728139626,4.6149763101139465
+-1.405495142236832,5.205696146423167
+0.4011524865837311,4.462766652445644
+0.27628598229528395,3.8907416115153195
+-0.2258835906479092,5.032281537012212
+-0.6888856745180161,2.980513267718825
+-0.1637895044426576,4.194877299733162
+-1.6890368273377399,2.306623347588805
+-0.8224246709752168,3.4260017436231047
+0.6419363445413924,4.78837866515105
+1.7035027261418423,3.141905808022463
+1.3119236757596808,1.9615451383366387
+""",
+    "quiet.comparisons.csv": "i,j,y\n6,4,1\n2,3,1\n5,3,1\n2,1,1\n6,1,1\n2,5,1\n4,1,1\n2,2,-1\n",
+    "quiet.truth.csv": """beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alpha,c1
+-3.6657926436945605,0.6077992125307399,0.3108304291994415,3.9747349055667023,0.9999999999999999,\
+-9.948131888485371e-18,-9.948131888485371e-18,1.0,deterministic,
+""",
+    "noisy.samples.csv": """x_1,x_2
+0.5513823105138368,4.547054990686688
+-0.9348962744566787,5.440274902732696
+0.37638710485895094,4.43617643668842
+0.28575771532294264,3.8982658474347645
+-0.07872211134271312,5.088304323414996
+-0.41477377270831317,3.1612461753134076
+-0.033653586691952175,4.2628449205868835
+-1.1406937377166788,2.659902004196816
+-0.511697746011913,3.6159742932729193
+0.5511504986224038,4.716038477987347
+1.3216462665999449,2.947284539397951
+1.0374341755074854,1.8580968366091328
+""",
+    "noisy.comparisons.csv": "i,j,y\n6,4,1\n2,3,1\n5,3,1\n2,1,1\n6,1,1\n2,5,-1\n4,1,1\n2,2,-1\n",
+    "noisy.truth.csv": """beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alpha,c1
+-3.6657926436945605,0.6077992125307399,0.3108304291994415,3.9747349055667023,0.5268005287911254,\
+-0.11261436876384275,-0.11261436876384275,0.9731994712088746,0.5820388793945312,0.3210462171966934
+""",
+    "bh.csv": "n,m,beta_hat_1,beta_hat_2\n6,8,-0.2526100898616315,-0.05679953209915553\n",
+}
+
+
+def test_cli_generate_and_estimate_golden_bytes(tmp_path, capsys):
+    common = ["generate", "--d", "2", "--n", "6", "--m", "8", "--seed", "3"]
+    assert main(common + ["--out-prefix", str(tmp_path / "quiet")]) == 0
+    assert main(common + ["--pe", "0.2", "--lambda-min", "0.5", "--out-prefix", str(tmp_path / "noisy")]) == 0
+    noisy = tmp_path / "noisy"
+    rc = main(
+        [
+            "estimate",
+            "--samples", f"{noisy}.samples.csv",
+            "--comparisons", f"{noisy}.comparisons.csv",
+            "--truth", f"{noisy}.truth.csv",
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "beta_hat=-0.2526100898616315,-0.05679953209915553\n"
+        "norm_error=0.9579982055158525\nangle=0.3854804247242336\n"
+    )
+    for name, text in GOLDEN_GENERATE.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+GOLDEN_TRIALS = """d,n,m,lambda_min,target_pe,rep,norm_error,angle,c1
+2,30,103,1.0,0.2,0,0.2550129576184042,0.07440809753387607,0.10037616201283284
+2,30,103,1.0,0.2,1,0.3869145554646682,0.3829891857107146,0.12409746138553737
+2,60,246,1.0,0.2,0,0.44428710933776094,0.13539624477280185,0.10037616201283284
+2,60,246,1.0,0.2,1,0.026045944352131336,0.005391296187688978,0.12409746138553737
+"""
+GOLDEN_AGG = """grid_value,norm_error_mean,norm_error_std,angle_mean,angle_std,count
+30,0.3209637565415362,0.06595079892313199,0.22869864162229533,0.15429054408841927,2
+60,0.23516652684494613,0.20912058249281482,0.07039377048024541,0.06500247429255644,2
+"""
+
+
+@pytest.mark.parametrize(
+    "command,config,stdout",
+    [
+        ("sweep", "swept_parameter = n\ngrid = 30, 60\n", ""),
+        ("min-n", "n_grid = 30, 60, 120\nangle_threshold = 0.2\n", "60\n"),
+    ],
+)
+def test_cli_sweep_and_min_n_golden_bytes(tmp_path, capsys, command, config, stdout):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 2\ntarget_pe = 0.2\nrepetitions = 2\nmaster_seed = 5\n" + config)
+    assert main([command, "--config", str(cfg), "--out-prefix", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out == stdout
+    trials = (tmp_path / "run.trials.csv").read_bytes().decode().splitlines()
+    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in trials) == GOLDEN_TRIALS  # wall_time_s stripped
+    assert (tmp_path / "run.agg.csv").read_bytes() == GOLDEN_AGG.encode()
