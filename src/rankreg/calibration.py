@@ -104,10 +104,16 @@ def estimate_pe(
     By symmetry this is twice the mass of (label = +1, score difference < 0),
     integrated over [-half_width * sigma_s, 0].
     """
+    return _pe_rule(law, quad)(link)
+
+
+def _pe_rule(law: ScoreDifferenceLaw, quad: QuadratureSpec):
+    """p_e as a function of the link, with the grid and the density built once for ``law``."""
     edge = quad.half_width * law.sigma_s
     grid = np.linspace(-edge, 0.0, quad.points)
-    values = link.prob(grid) * _normal_pdf(grid, law.sigma_s)
-    return 2.0 * _trapezoid(values, grid[1] - grid[0])
+    pdf = _normal_pdf(grid, law.sigma_s)
+    step = grid[1] - grid[0]
+    return lambda link: 2.0 * _trapezoid(link.prob(grid) * pdf, step)
 
 
 def solve_alpha_for_pe(
@@ -123,8 +129,10 @@ def solve_alpha_for_pe(
     if not 0 < target_pe < 0.5:
         raise ValueError(f"target_pe must lie in (0, 1/2), got {target_pe}")
 
+    pe_of = _pe_rule(law, quad)
+
     def pe(alpha: float) -> float:
-        return estimate_pe(LogisticLink(alpha), law, quad)
+        return pe_of(LogisticLink(alpha))
 
     lo = hi = 1.0
     value = pe(1.0)

@@ -217,7 +217,8 @@ def _field(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write a header line and ``rows`` (a 2-d array or a sequence of rows), each ending in "\\n".
+    """Write a header line and ``rows`` (a 2-d array, a sequence of rows, or any sized
+    object whose slices are one of these), each ending in "\\n".
 
     None is written as an empty field.  Rows are formatted in blocks, so a large
     array never exists in memory as one list of Python numbers or one string.
@@ -283,9 +284,22 @@ def read_samples_csv(path) -> SampleSet:
     return SampleSet(len(rows) // 2, rows)
 
 
+class _OneBasedTriples:
+    """The rows (i + 1, j + 1, y) of a dataset, stacked only one slice at a time."""
+
+    def __init__(self, dataset: ComparisonDataset):
+        self.i, self.j, self.y = dataset.i, dataset.j, dataset.y
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.column_stack((self.i[rows] + 1, self.j[rows] + 1, self.y[rows]))
+
+
 def write_comparisons_csv(dataset: ComparisonDataset, path) -> None:
     """Write triples with header i,j,y; indices are 1-based on disk."""
-    _write_csv(path, ["i", "j", "y"], np.column_stack((dataset.i + 1, dataset.j + 1, dataset.y)))
+    _write_csv(path, ["i", "j", "y"], _OneBasedTriples(dataset))
 
 
 def read_comparisons_csv(path, n: int) -> ComparisonDataset:

@@ -3,9 +3,10 @@
 A sweep runs repeated trials over a grid of one swept parameter.  Every
 trial derives its own random stream from the trial's defining parameters
 and repetition index alone, so a trial's result never depends on which
-other grid points run around it, and sweeps over dataset sizes or noise
-levels reuse the same ground truths and features per repetition (paired
-comparisons across the grid).
+other grid points run around it, and sweeps over the dataset sizes n and m
+reuse the same ground truths and features per repetition (paired
+comparisons across the grid).  Such a sweep realizes each repetition's
+model once and reuses it at every grid point.
 """
 
 from __future__ import annotations
@@ -171,10 +172,11 @@ class MinNQuery:
 def trial_stream(config: TrialConfig, repetition_index: int) -> RngStream:
     """Random stream for one trial.
 
-    Keyed by (d, lambda_min, repetition) only: dataset sizes and the noise
-    target are excluded on purpose, so sweeps over n, m, or target_pe see the
-    same ground truths and feature draws per repetition and differ only in
-    what the swept parameter changes.
+    Keyed by (master_seed, d, lambda_min, repetition) only: the dataset sizes
+    are excluded on purpose, so sweeps over n or m see the same ground truths
+    and feature draws per repetition and differ only in what the swept
+    parameter changes.  The noise target is excluded too, so configs that
+    differ only in target_pe draw the same ground truth and features.
     """
     return RngStream(config.master_seed, _mix("trial", config.d, float(config.lambda_min), repetition_index))
 
@@ -199,10 +201,27 @@ def realize_model(
 
 def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
     """One full generate/estimate pass; any module error is wrapped with the config."""
+    return _run_trial(config, repetition_index, {})
+
+
+def _realize_inputs(config: TrialConfig) -> tuple:
+    """Everything but the repetition index that ``realize_model`` depends on."""
+    return config.master_seed, config.d, config.lambda_min, config.target_pe
+
+
+def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> TrialResult:
+    """``run_trial`` that takes the repetition's model from ``models`` or realizes it into ``models``.
+
+    Every model in ``models`` must have been realized for the same
+    ``_realize_inputs`` as ``config``.  A model that fails to realize is not
+    stored, so each trial that needs it tries again and fails the same way.
+    """
     start = time.perf_counter()
     try:
         stream = trial_stream(config, repetition_index)
-        model, _, c1 = realize_model(stream, config.d, config.lambda_min, config.target_pe)
+        if repetition_index not in models:
+            models[repetition_index] = realize_model(stream, config.d, config.lambda_min, config.target_pe)
+        model, _, c1 = models[repetition_index]
         samples = generate_samples(stream.child("features"), model, config.n)
         dataset = generate_comparisons(stream.child("comparisons"), model, samples, config.m)
         cov = estimate_covariance(samples)
@@ -229,12 +248,20 @@ def _aggregate(grid_value, rows) -> GridAggregate:
 
 
 def _sweep_points(spec: SweepSpec):
-    """Run the grid points in order, yielding each point's trial rows (failures included) and aggregate."""
+    """Run the grid points in order, yielding each point's trial rows (failures included) and aggregate.
+
+    Each repetition's model is realized once and reused by the following grid
+    points for as long as their realize inputs match, which in n- and m-sweeps
+    is the whole grid.  Only the current inputs' models are held.
+    """
+    inputs, models = None, {}
     for value, config in zip(spec.grid, spec.configs()):
+        if _realize_inputs(config) != inputs:
+            inputs, models = _realize_inputs(config), {}
         rows = []
         for rep in range(config.repetitions):
             try:
-                rows.append(run_trial(config, rep))
+                rows.append(_run_trial(config, rep, models))
             except TrialExecutionError as exc:
                 rows.append(TrialFailure(config, rep, str(exc)))
         yield rows, _aggregate(value, rows)

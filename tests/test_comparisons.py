@@ -220,6 +220,17 @@ def test_comparisons_csv_round_trip(tmp_path):
     assert np.array_equal(back.y, data.y)
 
 
+def test_comparisons_csv_spanning_several_write_blocks(tmp_path):
+    rng = np.random.default_rng(0)
+    m = 2 * 8192 + 5
+    i, j = rng.integers(0, 1000, size=(2, m))
+    y = rng.choice([-1, 1], size=m)
+    path = tmp_path / "c.csv"
+    write_comparisons_csv(ComparisonDataset(1000, i, j, y), path)
+    expected = "i,j,y\n" + "".join(f"{a + 1},{b + 1},{c}\n" for a, b, c in zip(i, j, y))
+    assert path.read_text() == expected
+
+
 @pytest.mark.parametrize(
     "content,line",
     [

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rankreg import harness
 from rankreg import (
     AGG_HEADER,
     ConfigError,
@@ -190,6 +191,10 @@ def test_sweep_records_failures_and_keeps_going():
     assert len(result.rows) == 4
     assert all(isinstance(r, TrialFailure) for r in result.rows)
     assert all("not reachable" in r.message for r in result.rows)
+    for row in result.rows:
+        with pytest.raises(TrialExecutionError) as excinfo:
+            run_trial(row.config, row.repetition_index)
+        assert row.message == str(excinfo.value)
     for agg in result.aggregates:
         assert agg == GridAggregate(agg.grid_value, None, None, None, None, 0)
 
@@ -200,6 +205,47 @@ def test_noiseless_sweep_leaves_error_aggregates_empty():
     for agg in result.aggregates:
         assert agg.norm_error_mean is None and agg.norm_error_std is None
         assert agg.angle_mean is not None and agg.count == 2
+
+
+GRID_SWEEPS = {
+    "n": SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120)),
+    "m": SweepSpec(replace(BASE, repetitions=3), "m", (50, 200, 800), m_rule="fixed"),
+    "d": SweepSpec(replace(BASE, repetitions=3), "d", (1, 2, 4)),
+    "lambda_min": SweepSpec(replace(BASE, repetitions=3), "lambda_min", (0.25, 0.5, 1.0)),
+}
+
+
+@pytest.fixture
+def realize_calls(monkeypatch):
+    """Counts calls of harness.realize_model made through its module name."""
+    calls = []
+    realize = harness.realize_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "realize_model", counting)
+    return calls
+
+
+@pytest.mark.parametrize("swept, shared", [("n", True), ("m", True), ("d", False), ("lambda_min", False)])
+def test_sweeps_realize_a_model_once_per_distinct_inputs(realize_calls, swept, shared):
+    spec = GRID_SWEEPS[swept]
+    run_sweep(spec)
+    reps, points = spec.base.repetitions, len(spec.grid)
+    assert len(realize_calls) == (reps if shared else reps * points)
+
+
+@pytest.mark.parametrize("swept", sorted(GRID_SWEEPS))
+def test_sweep_rows_match_standalone_trials(swept):
+    rows = run_sweep(GRID_SWEEPS[swept]).rows
+    assert len(rows) == 9 and all(isinstance(row, TrialResult) for row in rows)
+    for row in rows:
+        bare = run_trial(row.config, row.repetition_index)
+        assert repr(row.angle) == repr(bare.angle)
+        assert repr(row.norm_error) == repr(bare.norm_error)
+        assert repr(row.c1_used) == repr(bare.c1_used)
 
 
 # --- smallest qualifying n -------------------------------------------------
@@ -229,6 +275,12 @@ def test_find_min_n_walks_until_the_threshold_clears():
     found, partial = find_min_n_detailed(query)
     assert found == 120
     assert len(partial.aggregates) == 2
+
+
+def test_find_min_n_realizes_each_model_once(realize_calls):
+    query = MinNQuery(replace(BASE, repetitions=3), (30, 60, 120), angle_threshold=1e-9)
+    _, partial = find_min_n_detailed(query)
+    assert len(partial.aggregates) == 3 and len(realize_calls) == 3
 
 
 def test_find_min_n_empty_grid():
