@@ -33,13 +33,10 @@ from .comparisons import (
     write_samples_csv,
 )
 from .estimator import (
-    AngleUndefinedError,
     CovarianceEstimate,
     DegreesOfFreedomError,
     Estimate,
-    Metrics,
     angle,
-    compute_metrics,
     estimate_beta,
     estimate_covariance,
     norm_error,
@@ -65,6 +62,7 @@ from .harness import (
     realize_model,
     run_sweep,
     run_trial,
+    simulate,
     trial_stream,
     write_results,
 )
@@ -85,13 +83,12 @@ __all__ = [
     "ModelSpec", "ProbitLink", "SampleSet", "flip_fraction", "generate_comparisons",
     "generate_samples", "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv",
     "write_samples_csv",
-    "AngleUndefinedError", "CovarianceEstimate", "DegreesOfFreedomError", "Estimate", "Metrics",
-    "angle", "compute_metrics", "estimate_beta", "estimate_covariance", "norm_error",
-    "write_estimate_csv",
+    "CovarianceEstimate", "DegreesOfFreedomError", "Estimate", "angle", "estimate_beta",
+    "estimate_covariance", "norm_error", "write_estimate_csv",
     "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "MinNQuery", "SweepResult",
     "SweepSpec", "TrialConfig", "TrialExecutionError", "TrialFailure", "TrialResult", "find_min_n",
     "find_min_n_detailed", "m_from_n", "read_min_n_config", "read_sweep_config", "realize_model",
-    "run_sweep", "run_trial", "trial_stream", "write_results",
+    "run_sweep", "run_trial", "simulate", "trial_stream", "write_results",
     "CovarianceSpec", "RngStream", "SpdMatrix", "make_covariance", "make_orthonormal_basis",
     "sample_gaussian", "sample_ground_truth",
 ]

@@ -16,15 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import QuadratureSpec, ScoreDifferenceLaw, estimate_c1, estimate_pe, solve_alpha_for_pe
+from .calibration import ScoreDifferenceLaw, estimate_c1, estimate_pe, solve_alpha_for_pe
 from .comparisons import (
     CsvFormatError,
     LogisticLink,
     _names,
     _read_csv,
     _write_csv,
-    generate_comparisons,
-    generate_samples,
     read_comparisons_csv,
     read_samples_csv,
     write_comparisons_csv,
@@ -38,6 +36,7 @@ from .harness import (
     read_sweep_config,
     realize_model,
     run_sweep,
+    simulate,
     write_results,
 )
 from .randomness import RngStream, SpdMatrix
@@ -97,8 +96,7 @@ def read_truth_csv(path) -> TruthRecord:
 def cmd_generate(args) -> int:
     stream = RngStream(args.seed)
     model, alpha, c1 = realize_model(stream, args.d, args.lambda_min, args.pe)
-    samples = generate_samples(stream.child("features"), model, args.n)
-    dataset = generate_comparisons(stream.child("comparisons"), model, samples, args.m)
+    samples, dataset = simulate(stream, model, args.n, args.m)
     write_samples_csv(samples, f"{args.out_prefix}.samples.csv")
     write_comparisons_csv(dataset, f"{args.out_prefix}.comparisons.csv")
     write_truth_csv(model, alpha, c1, f"{args.out_prefix}.truth.csv")
@@ -108,12 +106,13 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     samples = read_samples_csv(args.samples)
     dataset = read_comparisons_csv(args.comparisons, samples.n)
-    cov = estimate_covariance(samples)
-    est = estimate_beta(dataset, samples, cov)
+    truth = None if args.truth is None else read_truth_csv(args.truth)
+    if truth is not None and len(truth.beta) != samples.d:
+        raise ValueError(f"{args.truth}: truth has d={len(truth.beta)} but {args.samples} has d={samples.d}")
+    est = estimate_beta(dataset, samples, estimate_covariance(samples))
     write_estimate_csv(est, args.out)
     print("beta_hat=" + ",".join(repr(float(v)) for v in est.beta_hat))
-    if args.truth is not None:
-        truth = read_truth_csv(args.truth)
+    if truth is not None:
         if truth.c1 is not None:
             print(f"norm_error={norm_error(est.beta_hat, truth.beta, truth.c1)!r}")
         print(f"angle={angle(est.beta_hat, truth.beta)!r}")
@@ -131,10 +130,9 @@ def cmd_calibrate(args) -> int:
         beta = _read_row(args.beta_file, lambda width: _names("beta", width))
         sigma = _read_row(args.sigma_file, lambda width: _sigma_names(math.isqrt(width)))
         law = ScoreDifferenceLaw.from_parameters(beta, SpdMatrix(sigma.reshape(math.isqrt(len(sigma)), -1)))
-    quad = QuadratureSpec()
-    alpha = args.alpha if args.alpha is not None else solve_alpha_for_pe(args.pe, law, quad)
+    alpha = args.alpha if args.alpha is not None else solve_alpha_for_pe(args.pe, law)
     link = LogisticLink(alpha)
-    print(f"c1={estimate_c1(link, law, quad)!r} pe={estimate_pe(link, law, quad)!r} alpha={alpha!r}")
+    print(f"c1={estimate_c1(link, law)!r} pe={estimate_pe(link, law)!r} alpha={alpha!r}")
     return 0
 
 

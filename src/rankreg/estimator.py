@@ -11,11 +11,12 @@ a single triangular solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .comparisons import ComparisonDataset, ModelSpec, SampleSet, _names, _write_csv
+from .comparisons import ComparisonDataset, SampleSet, _names, _write_csv
 from .randomness import SpdMatrix
 
 
@@ -23,24 +24,15 @@ class DegreesOfFreedomError(ValueError):
     """Too few covariance samples for the corrected estimate (need N > d + 2)."""
 
 
-class AngleUndefinedError(ValueError):
-    """Angle requested for a zero-norm vector; carries the norm_error that is still defined."""
-
-    def __init__(self, message: str, norm_error: float):
-        super().__init__(message)
-        self.norm_error = norm_error
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
-    """Corrected covariance estimate with its explicit inverse.
+    """Corrected covariance estimate; its inverse is computed only when read.
 
     The 1/(N-d-2) normalization makes the inverse, not the forward matrix,
     an unbiased estimate of the population quantity.
     """
 
     sigma_hat: SpdMatrix
-    sigma_hat_inv: np.ndarray
     dof_n: int
     mu_hat: np.ndarray
 
@@ -48,17 +40,20 @@ class CovarianceEstimate:
         d = self.sigma_hat.dim
         if self.dof_n <= d + 2:
             raise DegreesOfFreedomError(f"need N > d + 2, got N={self.dof_n}, d={d}")
-        inv = np.asarray(self.sigma_hat_inv, dtype=float)
-        mu = np.asarray(self.mu_hat, dtype=float)
-        object.__setattr__(self, "sigma_hat_inv", inv)
-        object.__setattr__(self, "mu_hat", mu)
-        if inv.shape != (d, d):
-            raise ValueError(f"sigma_hat_inv has shape {inv.shape}, expected ({d}, {d})")
-        if mu.shape != (d,):
-            raise ValueError(f"mu_hat has shape {mu.shape}, expected ({d},)")
-        residual = np.abs(inv @ self.sigma_hat.entries - np.eye(d)).max()
+        object.__setattr__(self, "mu_hat", np.asarray(self.mu_hat, dtype=float))
+        if self.mu_hat.shape != (d,):
+            raise ValueError(f"mu_hat has shape {self.mu_hat.shape}, expected ({d},)")
+
+    @cached_property
+    def sigma_hat_inv(self) -> np.ndarray:
+        """Symmetrized inverse from the Cholesky factor; raises if its residual exceeds 1e-8."""
+        eye = np.eye(self.sigma_hat.dim)
+        inv = cho_solve((self.sigma_hat.cholesky, True), eye)
+        inv = (inv + inv.T) / 2
+        residual = np.abs(inv @ self.sigma_hat.entries - eye).max()
         if not residual <= 1e-8:
             raise ValueError(f"sigma_hat_inv is not an inverse of sigma_hat (residual {residual:g})")
+        return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +77,13 @@ class Estimate:
         return len(self.beta_hat)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    norm_error: float
-    angle: float
-
-    def __post_init__(self):
-        if not self.norm_error >= 0:
-            raise ValueError(f"norm_error must be >= 0, got {self.norm_error}")
-        if not 0 <= self.angle <= np.pi:
-            raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
-
-
 def estimate_covariance(samples: SampleSet) -> CovarianceEstimate:
     """Estimate the feature covariance from the second half of ``samples``.
 
-    Uses the corrected normalization 1/(N - d - 2) so the returned inverse is
-    unbiased.  Raises :class:`DegreesOfFreedomError` when N <= d + 2, and
-    ``numpy.linalg.LinAlgError`` when the scatter matrix is singular (for
-    example, all covariance rows identical).
+    Uses the corrected normalization 1/(N - d - 2) so the inverse of the
+    returned estimate is unbiased.  Raises :class:`DegreesOfFreedomError`
+    when N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter
+    matrix is singular (for example, all covariance rows identical).
     """
     n, d = samples.n, samples.d
     if n <= d + 2:
@@ -110,10 +93,7 @@ def estimate_covariance(samples: SampleSet) -> CovarianceEstimate:
     centered = half - mu_hat
     scatter = centered.T @ centered
     sigma = scatter / (n - d - 2)
-    sigma_hat = SpdMatrix((sigma + sigma.T) / 2)
-    inv = cho_solve((sigma_hat.cholesky, True), np.eye(d))
-    inv = (inv + inv.T) / 2
-    return CovarianceEstimate(sigma_hat, inv, n, mu_hat)
+    return CovarianceEstimate(SpdMatrix((sigma + sigma.T) / 2), n, mu_hat)
 
 
 def estimate_beta(
@@ -141,42 +121,33 @@ def estimate_beta(
     return Estimate(beta_hat, dataset.m, samples.n)
 
 
+def _same_shape(beta_hat, beta) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(beta_hat, dtype=float), np.asarray(beta, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"estimate has shape {a.shape} but ground truth has shape {b.shape}")
+    return a, b
+
+
 def norm_error(beta_hat: np.ndarray, beta: np.ndarray, c1: float) -> float:
     """Euclidean distance between the estimate and its expectation c1 * beta."""
     if not c1 > 0:
         raise ValueError(f"c1 must be > 0, got {c1}")
-    return float(np.linalg.norm(np.asarray(beta_hat, dtype=float) - c1 * np.asarray(beta, dtype=float)))
+    a, b = _same_shape(beta_hat, beta)
+    return float(np.linalg.norm(a - c1 * b))
 
 
 def angle(beta_hat: np.ndarray, beta: np.ndarray) -> float:
-    """Angle between two nonzero vectors, clamped against round-off.
+    """Angle between two nonzero vectors of the same shape, clamped against round-off.
 
     The cosine can land just outside [-1, 1] in floating point; it is clamped
     before the arccos so collinear vectors give exactly 0 or pi.
     """
-    a = np.asarray(beta_hat, dtype=float)
-    b = np.asarray(beta, dtype=float)
+    a, b = _same_shape(beta_hat, beta)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         raise ValueError("angle undefined for a zero-norm vector")
     cosine = np.clip(a @ b / (na * nb), -1.0, 1.0)
     return float(np.arccos(cosine))
-
-
-def compute_metrics(estimate: Estimate, spec: ModelSpec, c1: float) -> Metrics:
-    """Both evaluation metrics against the ground truth.
-
-    A zero-norm estimate (or ground truth) leaves the angle undefined; the
-    raised :class:`AngleUndefinedError` still carries the norm_error value.
-    """
-    if estimate.d != spec.d:
-        raise ValueError(f"estimate dim {estimate.d} does not match model dim {spec.d}")
-    err = norm_error(estimate.beta_hat, spec.beta, c1)
-    try:
-        ang = angle(estimate.beta_hat, spec.beta)
-    except ValueError as exc:
-        raise AngleUndefinedError(f"{exc} (norm_error={err!r})", err) from exc
-    return Metrics(err, ang)
 
 
 def write_estimate_csv(estimate: Estimate, path) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import QuadratureSpec, ScoreDifferenceLaw, estimate_c1, solve_alpha_for_pe
+from .calibration import ScoreDifferenceLaw, estimate_c1, solve_alpha_for_pe
 from .comparisons import (
     DeterministicLink,
     LogisticLink,
@@ -181,9 +181,7 @@ def trial_stream(config: TrialConfig, repetition_index: int) -> RngStream:
     return RngStream(config.master_seed, _mix("trial", config.d, float(config.lambda_min), repetition_index))
 
 
-def realize_model(
-    stream: RngStream, d: int, lambda_min: float, target_pe: float, quad: QuadratureSpec = QuadratureSpec()
-):
+def realize_model(stream: RngStream, d: int, lambda_min: float, target_pe: float):
     """Draw ground truth and calibrate the link for one trial.
 
     Returns (model, alpha, c1); alpha and c1 are None for the noiseless
@@ -194,9 +192,18 @@ def realize_model(
     if target_pe == 0:
         return ModelSpec(d, beta, mu, sigma, DeterministicLink()), None, None
     law = ScoreDifferenceLaw.from_parameters(beta, sigma)
-    alpha = solve_alpha_for_pe(target_pe, law, quad)
+    alpha = solve_alpha_for_pe(target_pe, law)
     link = LogisticLink(alpha)
-    return ModelSpec(d, beta, mu, sigma, link), alpha, estimate_c1(link, law, quad)
+    return ModelSpec(d, beta, mu, sigma, link), alpha, estimate_c1(link, law)
+
+
+def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):
+    """(samples, dataset): 2n feature rows, then m labeled comparisons, as trials and ``generate`` draw them.
+
+    The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.
+    """
+    samples = generate_samples(stream.child("features"), model, n)
+    return samples, generate_comparisons(stream.child("comparisons"), model, samples, m)
 
 
 def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
@@ -222,10 +229,8 @@ def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> Tria
         if repetition_index not in models:
             models[repetition_index] = realize_model(stream, config.d, config.lambda_min, config.target_pe)
         model, _, c1 = models[repetition_index]
-        samples = generate_samples(stream.child("features"), model, config.n)
-        dataset = generate_comparisons(stream.child("comparisons"), model, samples, config.m)
-        cov = estimate_covariance(samples)
-        estimate = estimate_beta(dataset, samples, cov)
+        samples, dataset = simulate(stream, model, config.n, config.m)
+        estimate = estimate_beta(dataset, samples, estimate_covariance(samples))
         ang = angle(estimate.beta_hat, model.beta)
         err = None if c1 is None else norm_error(estimate.beta_hat, model.beta, c1)
     except Exception as exc:

@@ -13,7 +13,19 @@ import numpy as np
 import pytest
 
 import rankreg
-from rankreg import CsvFormatError, LogisticLink, QuadratureSpec, ScoreDifferenceLaw, estimate_c1, estimate_pe
+from rankreg import (
+    CsvFormatError,
+    LogisticLink,
+    QuadratureSpec,
+    RngStream,
+    ScoreDifferenceLaw,
+    estimate_c1,
+    estimate_pe,
+    read_comparisons_csv,
+    read_samples_csv,
+    realize_model,
+    simulate,
+)
 from rankreg.cli import main, read_truth_csv
 
 
@@ -62,6 +74,18 @@ def test_generate_truth_records_the_link_calibration(tmp_path):
     assert noisy.alpha > 0 and noisy.c1 > 0
 
 
+@pytest.mark.parametrize("pe,lam,seed", [(0.0, 1.0, 3), (0.2, 0.3, 8)])
+def test_generate_writes_what_simulate_draws(tmp_path, pe, lam, seed):
+    d, n, m = 3, 40, 150
+    out = _generate(tmp_path, d=d, n=n, m=m, pe=pe, lam=lam, seed=seed)
+    model, _, _ = realize_model(RngStream(seed), d, lam, pe)
+    samples, dataset = simulate(RngStream(seed), model, n, m)
+    assert np.array_equal(read_samples_csv(out.with_suffix(".samples.csv")).features, samples.features)
+    written = read_comparisons_csv(out.with_suffix(".comparisons.csv"), n)
+    for field in ("i", "j", "y"):
+        assert np.array_equal(getattr(written, field), getattr(dataset, field))
+
+
 # --- estimate --------------------------------------------------------------
 
 def test_estimate_prints_weights_and_metrics(tmp_path, capsys):
@@ -98,6 +122,25 @@ def test_estimate_noiseless_truth_has_no_norm_error_line(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert [line.split("=")[0] for line in lines] == ["beta_hat", "angle"]
+
+
+@pytest.mark.parametrize("truth_d", [1, 2])
+def test_estimate_rejects_a_truth_of_another_dimension(tmp_path, capsys, truth_d):
+    out = _generate(tmp_path, d=3, n=20, m=50, pe=0.2, prefix="data")
+    truth = _generate(tmp_path, d=truth_d, n=20, m=50, pe=0.2, prefix="other").with_suffix(".truth.csv")
+    rc = main(
+        [
+            "estimate",
+            "--samples", str(out.with_suffix(".samples.csv")),
+            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--truth", str(truth),
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "norm_error=" not in captured.out and "angle=" not in captured.out
+    assert str(truth) in captured.err and f"d={truth_d}" in captured.err and "d=3" in captured.err
 
 
 def test_estimate_flips_with_the_labels(tmp_path, capsys):

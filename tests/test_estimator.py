@@ -8,25 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankreg import (
-    AngleUndefinedError,
     ComparisonDataset,
     CovarianceEstimate,
     DegreesOfFreedomError,
     Estimate,
     LogisticLink,
-    Metrics,
     ModelSpec,
     RngStream,
     SampleSet,
     SpdMatrix,
+    TrialConfig,
+    TrialResult,
     angle,
-    compute_metrics,
     estimate_beta,
     estimate_covariance,
     generate_comparisons,
     generate_samples,
+    m_from_n,
     norm_error,
+    realize_model,
+    run_trial,
     sample_gaussian,
+    simulate,
+    trial_stream,
     write_estimate_csv,
 )
 
@@ -56,7 +60,7 @@ def test_covariance_needs_spare_degrees_of_freedom():
     with pytest.raises(DegreesOfFreedomError):
         estimate_covariance(SampleSet(3, np.random.default_rng(0).normal(size=(6, 1))))
     with pytest.raises(DegreesOfFreedomError):
-        CovarianceEstimate(SpdMatrix(np.eye(2)), np.eye(2), 4, np.zeros(2))
+        CovarianceEstimate(SpdMatrix(np.eye(2)), 4, np.zeros(2))
 
 
 def test_covariance_constant_rows_are_singular():
@@ -65,9 +69,21 @@ def test_covariance_constant_rows_are_singular():
         estimate_covariance(SampleSet(5, features))
 
 
-def test_covariance_estimate_checks_its_inverse():
-    with pytest.raises(ValueError, match="inverse"):
-        CovarianceEstimate(SpdMatrix(np.eye(2) * 2), np.eye(2), 10, np.zeros(2))
+def test_ill_conditioned_trial_reports_an_angle_and_never_builds_the_inverse():
+    # cond(sigma) ~ 1e10: the explicit inverse misses its 1e-8 residual check, but the estimate
+    # only needs the Cholesky solve, so the trial succeeds and reports its (poor) angle
+    config = TrialConfig(d=10, n=1000, m=m_from_n(1000), lambda_min=1e-10, target_pe=0.0)
+    result = run_trial(config, 0)
+    assert isinstance(result, TrialResult)
+    stream = trial_stream(config, 0)
+    model, _, _ = realize_model(stream, config.d, config.lambda_min, config.target_pe)
+    samples, dataset = simulate(stream, model, config.n, config.m)
+    cov = estimate_covariance(samples)
+    est = estimate_beta(dataset, samples, cov)
+    assert "sigma_hat_inv" not in vars(cov)
+    assert angle(est.beta_hat, model.beta) == result.angle
+    with pytest.raises(ValueError, match="not an inverse"):
+        cov.sigma_hat_inv
 
 
 def test_covariance_uses_only_the_second_half():
@@ -101,7 +117,7 @@ def test_estimate_two_term_average_with_forced_identity():
     features[0] = (1.0, 0.0)
     features[2] = (0.0, 1.0)
     samples = SampleSet(5, features)
-    cov = CovarianceEstimate(SpdMatrix(np.eye(2)), np.eye(2), 5, np.zeros(2))
+    cov = CovarianceEstimate(SpdMatrix(np.eye(2)), 5, np.zeros(2))
     dataset = ComparisonDataset(5, [0, 2], [1, 1], [1, -1])
     est = estimate_beta(dataset, samples, cov)
     assert np.array_equal(est.beta_hat, [0.5, -0.5])
@@ -177,37 +193,40 @@ def test_estimator_mean_tracks_the_shrunk_weights():
 
 def test_metrics_identity_case():
     beta = np.array([3.0, 4.0])
-    spec = ModelSpec(2, beta, np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
-    m = compute_metrics(Estimate(2.0 * beta, 10, 10), spec, 2.0)
-    assert (m.norm_error, m.angle) == (0.0, 0.0)
+    assert (norm_error(2.0 * beta, beta, 2.0), angle(2.0 * beta, beta)) == (0.0, 0.0)
 
 
 def test_metrics_antipodal_case():
     beta = np.array([3.0, 4.0])
-    spec = ModelSpec(2, beta, np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
-    assert compute_metrics(Estimate(-beta, 10, 10), spec, 1.0).angle == math.pi
+    assert angle(-beta, beta) == math.pi
 
 
 def test_metrics_orthogonal_case():
-    spec = ModelSpec(2, np.array([0.0, 1.0]), np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
-    m = compute_metrics(Estimate(np.array([1.0, 0.0]), 10, 10), spec, 2.0)
-    assert m.norm_error == math.sqrt(5) and m.angle == math.pi / 2
+    estimate, beta = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    assert norm_error(estimate, beta, 2.0) == math.sqrt(5) and angle(estimate, beta) == math.pi / 2
 
 
 def test_metrics_zero_norm_error_carries_norm_error():
-    spec = ModelSpec(2, np.array([1.0, 1.0]), np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
-    with pytest.raises(AngleUndefinedError) as info:
-        compute_metrics(Estimate(np.array([0.0, 0.0]), 10, 10), spec, 2.0)
-    assert math.isclose(info.value.norm_error, 2.0 * math.sqrt(2), rel_tol=1e-15)
+    # a zero-norm vector leaves the angle undefined, but not the norm error
+    for estimate, beta in (([0.0, 0.0], [1.0, 1.0]), ([1.0, 1.0], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="zero-norm"):
+            angle(estimate, beta)
+    assert math.isclose(norm_error([0.0, 0.0], [1.0, 1.0], 2.0), 2.0 * math.sqrt(2), rel_tol=1e-15)
 
 
 def test_metrics_validation():
     with pytest.raises(ValueError):
-        Metrics(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        Metrics(0.1, 3.5)
-    with pytest.raises(ValueError):
         norm_error([1.0], [1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "estimate,beta", [([1.0], [1.0, 0.0, 0.0]), ([1.0, 0.0], [1.0, 0.0, 0.0]), ([[1.0, 0.0]], [1.0, 0.0])]
+)
+def test_metrics_reject_unequal_shapes(estimate, beta):
+    with pytest.raises(ValueError, match="shape"):
+        angle(estimate, beta)
+    with pytest.raises(ValueError, match="shape"):
+        norm_error(estimate, beta, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
