@@ -8,11 +8,9 @@ the noise level, and a deterministic experiment harness.
 from .calibration import (
     DegenerateModelError,
     LinkNotDifferentiableError,
-    QuadratureSpec,
     ScoreDifferenceLaw,
     estimate_c1,
     estimate_pe,
-    score_sigma,
     solve_alpha_for_pe,
 )
 from .comparisons import (
@@ -77,8 +75,8 @@ from .randomness import (
 )
 
 __all__ = [
-    "DegenerateModelError", "LinkNotDifferentiableError", "QuadratureSpec", "ScoreDifferenceLaw",
-    "estimate_c1", "estimate_pe", "score_sigma", "solve_alpha_for_pe",
+    "DegenerateModelError", "LinkNotDifferentiableError", "ScoreDifferenceLaw", "estimate_c1",
+    "estimate_pe", "solve_alpha_for_pe",
     "ComparisonDataset", "CsvFormatError", "DeterministicLink", "LinkFunction", "LogisticLink",
     "ModelSpec", "ProbitLink", "SampleSet", "flip_fraction", "generate_comparisons",
     "generate_samples", "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv",

@@ -68,10 +68,6 @@ class DeterministicLink:
 LinkFunction = Union[LogisticLink, ProbitLink, DeterministicLink]
 
 
-def is_differentiable(link: LinkFunction) -> bool:
-    return not isinstance(link, DeterministicLink)
-
-
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Ground-truth generative model for features and comparison labels."""
@@ -222,14 +218,18 @@ def _write_csv(path, header, rows) -> None:
 
     None is written as an empty field.  Rows are formatted in blocks, so a large
     array never exists in memory as one list of Python numbers or one string.
+    An array block is formatted by one %-template: %r of a Python int or float
+    is the same text as its str.
     """
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start : start + _BLOCK_ROWS]
             if isinstance(block, np.ndarray):
-                block = block.tolist()
-            f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
+                line = ",".join(["%r"] * block.shape[1]) + "\n"
+                f.write(line * len(block) % tuple(block.ravel().tolist()))
+            else:
+                f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:

@@ -15,7 +15,6 @@ from rankreg import (
     LogisticLink,
     MinNQuery,
     ModelSpec,
-    QuadratureSpec,
     RngStream,
     SampleSet,
     ScoreDifferenceLaw,
@@ -40,8 +39,6 @@ from rankreg import (
 )
 from rankreg.cli import main
 
-QUAD = QuadratureSpec()
-
 
 def _report(capsys, index: int, name: str, passed: bool, detail: str) -> None:
     line = f"acceptance {index} {name}: {'PASS' if passed else 'FAIL'} ({detail})"
@@ -55,7 +52,7 @@ def test_criterion_1_estimator_mean_recovers_scaled_weights(capsys):
     mu = np.array([0.5, -1.0])
     sigma = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.5]]))
     spec = ModelSpec(2, beta, mu, sigma, LogisticLink(5.0))
-    c1 = estimate_c1(spec.link, ScoreDifferenceLaw.from_parameters(beta, sigma), QUAD)
+    c1 = estimate_c1(spec.link, ScoreDifferenceLaw.from_parameters(beta, sigma))
     root = RngStream(20250801)
     hats = np.empty((500, 2))
     for t in range(500):
@@ -97,12 +94,12 @@ def test_criterion_3_quadrature_matches_simulation(capsys):
         link = LogisticLink(a)
         for s in (0.5, 2.0, 10.0):
             oracle = 4.0 * link.derivative(s * z).mean()
-            rel = abs(estimate_c1(link, ScoreDifferenceLaw(s), QUAD) - oracle) / oracle
+            rel = abs(estimate_c1(link, ScoreDifferenceLaw(s)) - oracle) / oracle
             worst_c1 = max(worst_c1, rel)
             spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[s * s / 2]])), link)
             pool = generate_samples(root.child("pool", repr(a), repr(s)), spec, 100_000)
             data = generate_comparisons(root.child("cmp", repr(a), repr(s)), spec, pool, 1_000_000)
-            dev = abs(flip_fraction(data, spec, pool) - estimate_pe(link, ScoreDifferenceLaw(s), QUAD))
+            dev = abs(flip_fraction(data, spec, pool) - estimate_pe(link, ScoreDifferenceLaw(s)))
             worst_pe = max(worst_pe, dev)
     _report(
         capsys,
@@ -118,9 +115,9 @@ def test_criterion_4_noise_targeting_round_trips(capsys):
     law = ScoreDifferenceLaw(1.0)
     worst_quad = worst_emp = 0.0
     for target in (0.2, 0.4):
-        alpha = solve_alpha_for_pe(target, law, QUAD)
+        alpha = solve_alpha_for_pe(target, law)
         link = LogisticLink(alpha)
-        worst_quad = max(worst_quad, abs(estimate_pe(link, law, QUAD) - target))
+        worst_quad = max(worst_quad, abs(estimate_pe(link, law) - target))
         spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), link)
         pool = generate_samples(root.child("pool", repr(target)), spec, 100_000)
         data = generate_comparisons(root.child("cmp", repr(target)), spec, pool, 1_000_000)

@@ -1,14 +1,19 @@
 """Tests for the quadrature constants and the slope-for-noise inverse problem.
 
-Oracles: Monte Carlo integration for the logistic shrinkage constant, a
-closed-form Gaussian-times-Gaussian integral for the probit one, and the
-bivariate-normal orthant formula for the probit error rate.
+Oracles: adaptive ``scipy.integrate.quad`` over the whole half line for the
+logistic constants, Monte Carlo integration for the logistic shrinkage
+constant, a closed-form Gaussian-times-Gaussian integral for the probit one,
+the bivariate-normal orthant formula for the probit error rate, and the
+steep-link expansion p_e = 2 ln 2 phi(0) / (alpha sigma_s) for tiny targets.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import expit
 
 from rankreg import (
     DegenerateModelError,
@@ -17,7 +22,6 @@ from rankreg import (
     LogisticLink,
     ModelSpec,
     ProbitLink,
-    QuadratureSpec,
     RngStream,
     ScoreDifferenceLaw,
     SpdMatrix,
@@ -27,11 +31,40 @@ from rankreg import (
     generate_comparisons,
     generate_samples,
     sample_gaussian,
-    score_sigma,
     solve_alpha_for_pe,
 )
 
-QUAD = QuadratureSpec()
+
+def _quad_mean(g, alpha, sigma_s):
+    """2 int_0^inf g(s) N(s; 0, sigma_s^2) ds by adaptive quad.
+
+    The half line is split at 1, 10 and 100 times the narrower of the link
+    width 1/alpha and sigma_s, so quad cannot step over either scale.
+    """
+    width = min(1.0 / alpha, sigma_s)
+    cuts = (0.0, width, 10.0 * width, 100.0 * width, math.inf)
+
+    def integrand(s):
+        return g(s) * math.exp(-0.5 * (s / sigma_s) ** 2) / (sigma_s * math.sqrt(2.0 * math.pi))
+
+    with warnings.catch_warnings():
+        # pieces far out in a tail hold ~1e-40 and make quad report roundoff
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return 2.0 * sum(
+            quad(integrand, lo, hi, epsabs=1e-300, epsrel=1e-13, limit=500)[0] for lo, hi in zip(cuts, cuts[1:])
+        )
+
+
+def _quad_pe(alpha, sigma_s):
+    return _quad_mean(lambda s: expit(-alpha * s), alpha, sigma_s)
+
+
+def _quad_c1(alpha, sigma_s):
+    def derivative(s):
+        q = expit(alpha * s)
+        return alpha * q * (1.0 - q)
+
+    return 4.0 * _quad_mean(derivative, alpha, sigma_s)
 
 
 def _probit_c1(scale, sigma_s):
@@ -67,19 +100,10 @@ def test_score_sigma_matches_sampled_pair_variance():
     beta = np.array([0.8, -1.4, 0.3])
     sigma = SpdMatrix(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]]))
     spec = ModelSpec(3, beta, np.ones(3), sigma, LogisticLink())
-    law = score_sigma(spec)
+    law = ScoreDifferenceLaw.from_parameters(spec.beta, spec.sigma)
     x = sample_gaussian(RngStream(90), spec.mu, sigma, 2_000_000)
     s = (x[:1_000_000] - x[1_000_000:]) @ beta
     assert abs(s.var() - law.sigma_s**2) <= 0.02 * law.sigma_s**2
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=4096)
-    with pytest.raises(ValueError):
-        QuadratureSpec(points=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(half_width=2.5)
 
 
 # --- c1 --------------------------------------------------------------------
@@ -89,13 +113,13 @@ LAW_1 = ScoreDifferenceLaw(1.0)
 
 def test_c1_rejects_the_sign_link():
     with pytest.raises(LinkNotDifferentiableError):
-        estimate_c1(DeterministicLink(), LAW_1, QUAD)
+        estimate_c1(DeterministicLink(), LAW_1)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0, 25.0])
 @pytest.mark.parametrize("sigma_s", [0.5, 2.0, 10.0])
 def test_c1_positive_and_bounded_by_the_slope(alpha, sigma_s):
-    c1 = estimate_c1(LogisticLink(alpha), ScoreDifferenceLaw(sigma_s), QUAD)
+    c1 = estimate_c1(LogisticLink(alpha), ScoreDifferenceLaw(sigma_s))
     assert 0 < c1 <= alpha  # max of the logistic derivative is alpha/4
 
 
@@ -103,45 +127,52 @@ def test_c1_matches_monte_carlo():
     link = LogisticLink(1.0)
     s = RngStream(101).generator().standard_normal(10_000_000)
     oracle = 4.0 * link.derivative(s).mean()
-    assert abs(estimate_c1(link, LAW_1, QUAD) - oracle) <= 0.005 * oracle
+    assert abs(estimate_c1(link, LAW_1) - oracle) <= 0.005 * oracle
 
 
 @pytest.mark.parametrize("scale,sigma_s", [(1.0, 1.0), (2.0, 0.8), (0.7, 3.0)])
 def test_c1_matches_probit_closed_form(scale, sigma_s):
-    got = estimate_c1(ProbitLink(scale), ScoreDifferenceLaw(sigma_s), QUAD)
-    assert math.isclose(got, _probit_c1(scale, sigma_s), rel_tol=1e-8)
+    got = estimate_c1(ProbitLink(scale), ScoreDifferenceLaw(sigma_s))
+    assert math.isclose(got, _probit_c1(scale, sigma_s), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("link", [LogisticLink(1.0), ProbitLink(1.0)])
 def test_c1_quadrature_is_converged(link):
-    base = estimate_c1(link, LAW_1, QuadratureSpec(points=4097))
-    fine = estimate_c1(link, LAW_1, QuadratureSpec(points=8193))
-    assert abs(fine - base) <= 1e-10 * base
+    oracle = 4.0 * _quad_mean(link.derivative, 1.0, 1.0)
+    assert abs(estimate_c1(link, LAW_1) - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1.0, 100.0, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("sigma_s", [0.3, 1.0])
+def test_c1_matches_quad_reference(tau, sigma_s):
+    alpha = tau / sigma_s
+    oracle = _quad_c1(alpha, sigma_s)
+    assert math.isclose(estimate_c1(LogisticLink(alpha), ScoreDifferenceLaw(sigma_s)), oracle, rel_tol=1e-12)
 
 
 # --- pe --------------------------------------------------------------------
 
 
 def test_pe_flat_link_limit():
-    pe = estimate_pe(LogisticLink(1e-12), LAW_1, QUAD)
-    assert pe < 0.5 and abs(pe - 0.5) <= 1e-4
+    # p_e = 1/2 - alpha * sigma_s * phi(0) / 2 + O(alpha^3) for a flat link;
+    # the quadrature sum near 1/2 carries about 1e-15 of rounding
+    pe = estimate_pe(LogisticLink(1e-12), LAW_1)
+    assert pe < 0.5 and abs((0.5 - pe) - 1e-12 / (2.0 * math.sqrt(2.0 * math.pi))) <= 1e-14
 
 
 def test_pe_steep_link_limit():
-    # the node at the origin contributes step * phi(0) / 2 no matter how
-    # steep the link gets, so the grid value floors near 2e-4 instead of 0
-    pe = estimate_pe(LogisticLink(1e6), LAW_1, QUAD)
-    assert 0 < pe <= 2e-4
+    pe = estimate_pe(LogisticLink(1e6), LAW_1)
+    assert math.isclose(pe, _quad_pe(1e6, 1.0), rel_tol=1e-8)
 
 
 def test_pe_sign_link_is_zero_noise():
-    assert estimate_pe(DeterministicLink(), LAW_1, QUAD) <= 1e-3
+    assert estimate_pe(DeterministicLink(), LAW_1) == 0.0
 
 
 @pytest.mark.parametrize("scale,sigma_s", [(1.0, 1.0), (2.0, 0.8), (0.7, 3.0)])
 def test_pe_matches_probit_closed_form(scale, sigma_s):
-    got = estimate_pe(ProbitLink(scale), ScoreDifferenceLaw(sigma_s), QUAD)
-    assert math.isclose(got, _probit_pe(scale, sigma_s), rel_tol=1e-6)
+    got = estimate_pe(ProbitLink(scale), ScoreDifferenceLaw(sigma_s))
+    assert math.isclose(got, _probit_pe(scale, sigma_s), rel_tol=1e-12)
 
 
 def test_pe_matches_empirical_flip_fraction():
@@ -149,11 +180,11 @@ def test_pe_matches_empirical_flip_fraction():
     spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), LogisticLink(1.0))
     samples = generate_samples(RngStream(111), spec, 100_000)
     dataset = generate_comparisons(RngStream(112), spec, samples, 1_000_000)
-    assert abs(flip_fraction(dataset, spec, samples) - estimate_pe(spec.link, LAW_1, QUAD)) <= 0.005
+    assert abs(flip_fraction(dataset, spec, samples) - estimate_pe(spec.link, LAW_1)) <= 0.005
 
 
 def test_pe_is_strictly_decreasing_in_the_slope():
-    values = [estimate_pe(LogisticLink(a), LAW_1, QUAD) for a in np.logspace(-2, 2, 9)]
+    values = [estimate_pe(LogisticLink(a), LAW_1) for a in np.logspace(-2, 2, 9)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -162,22 +193,16 @@ def test_pe_is_strictly_decreasing_in_the_slope():
 
 def test_truncation_negligible_for_steep_links():
     law = ScoreDifferenceLaw(10.0)
-    narrow = estimate_c1(LogisticLink(5.0), law, QuadratureSpec(points=4097, half_width=4))
-    wide = estimate_c1(LogisticLink(5.0), law, QuadratureSpec(points=8193, half_width=6))
-    assert abs(wide - narrow) <= 1e-6 * narrow
-    # widening pe at a matched node spacing isolates the discarded tail
-    narrow = estimate_pe(LogisticLink(5.0), law, QuadratureSpec(points=4097, half_width=4))
-    wide = estimate_pe(LogisticLink(5.0), law, QuadratureSpec(points=6145, half_width=6))
-    assert abs(wide - narrow) <= 1e-6 * narrow
+    assert math.isclose(estimate_c1(LogisticLink(5.0), law), _quad_c1(5.0, 10.0), rel_tol=1e-10)
+    assert math.isclose(estimate_pe(LogisticLink(5.0), law), _quad_pe(5.0, 10.0), rel_tol=1e-10)
 
 
-def test_truncation_visible_for_flat_links():
-    # a flat link keeps the integrand proportional to the Gaussian, so the
-    # discarded tail mass (about 6e-5) dominates the truncation error
+def test_truncation_negligible_for_flat_links():
+    # a flat link keeps the integrand proportional to the Gaussian, so any
+    # Gaussian tail the rule dropped would show here in full
     law = ScoreDifferenceLaw(0.5)
-    narrow = estimate_c1(LogisticLink(0.1), law, QuadratureSpec(points=4097, half_width=4))
-    wide = estimate_c1(LogisticLink(0.1), law, QuadratureSpec(points=8193, half_width=6))
-    assert 1e-6 * narrow < abs(wide - narrow) < 1e-4 * narrow
+    assert math.isclose(estimate_c1(LogisticLink(0.1), law), _quad_c1(0.1, 0.5), rel_tol=1e-10)
+    assert math.isclose(estimate_pe(LogisticLink(0.1), law), _quad_pe(0.1, 0.5), rel_tol=1e-10)
 
 
 # --- inverse problem -------------------------------------------------------
@@ -185,34 +210,53 @@ def test_truncation_visible_for_flat_links():
 
 @pytest.mark.parametrize("target", [0.2, 0.4])
 def test_solved_slope_round_trips(target):
-    alpha = solve_alpha_for_pe(target, LAW_1, QUAD)
-    assert abs(estimate_pe(LogisticLink(alpha), LAW_1, QUAD) - target) <= 1e-6
+    alpha = solve_alpha_for_pe(target, LAW_1)
+    assert math.isclose(estimate_pe(LogisticLink(alpha), LAW_1), target, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("target", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.2, 0.4, 0.49, 0.49999, 0.4999999])
+@pytest.mark.parametrize("sigma_s", [0.3, 1.0, 3.0])
+def test_solved_slope_matches_quad_reference(target, sigma_s):
+    alpha = solve_alpha_for_pe(target, ScoreDifferenceLaw(sigma_s))
+    assert math.isclose(_quad_pe(alpha, sigma_s), target, rel_tol=1e-10)
 
 
 def test_noisier_targets_need_flatter_links():
-    assert solve_alpha_for_pe(0.4, LAW_1, QUAD) < solve_alpha_for_pe(0.2, LAW_1, QUAD)
+    assert solve_alpha_for_pe(0.4, LAW_1) < solve_alpha_for_pe(0.2, LAW_1)
 
 
 def test_solver_domain():
     for bad in (0.0, 0.5, -0.1, 0.7):
         with pytest.raises(ValueError):
-            solve_alpha_for_pe(bad, LAW_1, QUAD)
+            solve_alpha_for_pe(bad, LAW_1)
 
 
 def test_solver_reports_unreachable_targets():
-    # the truncated flat-slope limit sits a hair under 1/2
-    with pytest.raises(ValueError, match="not reachable"):
-        solve_alpha_for_pe(0.49999, LAW_1, QUAD)
+    # p_e = 1e-320 would need a slope near 5.5e319, beyond the largest float
+    for target in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="target_pe"):
+            solve_alpha_for_pe(target, LAW_1)
+
+
+@pytest.mark.parametrize("target", [1e-8, 1e-12, 1e-50, 1e-150, 1e-300])
+def test_solver_meets_tiny_targets(target):
+    # past alpha * sigma_s = 5e7 the expansion's next term, -0.9 / (alpha sigma_s)^2, is below 1e-15
+    law = ScoreDifferenceLaw(2.0)
+    alpha = solve_alpha_for_pe(target, law)
+    steep = 2.0 * math.log(2.0) / (math.sqrt(2.0 * math.pi) * alpha * law.sigma_s)
+    assert math.isclose(steep, target, rel_tol=1e-10)
+    assert math.isclose(estimate_pe(LogisticLink(alpha), law), target, rel_tol=1e-12)
 
 
 def test_solver_handles_extreme_reachable_targets():
     for target in (0.49, 0.01):
-        alpha = solve_alpha_for_pe(target, LAW_1, QUAD)
-        assert abs(estimate_pe(LogisticLink(alpha), LAW_1, QUAD) - target) <= 1e-6
+        alpha = solve_alpha_for_pe(target, LAW_1)
+        assert math.isclose(estimate_pe(LogisticLink(alpha), LAW_1), target, rel_tol=1e-12)
 
 
 def test_solver_scales_with_sigma():
-    # doubling sigma_s halves the slope needed for the same noise level
-    a1 = solve_alpha_for_pe(0.3, ScoreDifferenceLaw(1.0), QUAD)
-    a2 = solve_alpha_for_pe(0.3, ScoreDifferenceLaw(2.0), QUAD)
-    assert math.isclose(a2, a1 / 2, rel_tol=1e-4)
+    # p_e depends on alpha and sigma_s only through alpha * sigma_s, so doubling
+    # sigma_s halves the slope up to rounding
+    a1 = solve_alpha_for_pe(0.3, ScoreDifferenceLaw(1.0))
+    a2 = solve_alpha_for_pe(0.3, ScoreDifferenceLaw(2.0))
+    assert math.isclose(a2, a1 / 2, rel_tol=1e-12)

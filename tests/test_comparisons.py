@@ -336,7 +336,7 @@ GOLDEN_GENERATE = {
     "noisy.comparisons.csv": "i,j,y\n6,4,1\n2,3,1\n5,3,1\n2,1,1\n6,1,1\n2,5,-1\n4,1,1\n2,2,-1\n",
     "noisy.truth.csv": """beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alpha,c1
 -3.6657926436945605,0.6077992125307399,0.3108304291994415,3.9747349055667023,0.5268005287911254,\
--0.11261436876384275,-0.11261436876384275,0.9731994712088746,0.5820388793945312,0.3210462171966934
+-0.11261436876384275,-0.11261436876384275,0.9731994712088746,0.5820411967375902,0.32104665809333843
 """,
     "bh.csv": "n,m,beta_hat_1,beta_hat_2\n6,8,-0.2526100898616315,-0.05679953209915553\n",
 }
@@ -359,21 +359,21 @@ def test_cli_generate_and_estimate_golden_bytes(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == (
         "beta_hat=-0.2526100898616315,-0.05679953209915553\n"
-        "norm_error=0.9579982055158525\nangle=0.3854804247242336\n"
+        "norm_error=0.9579998353351971\nangle=0.3854804247242336\n"
     )
     for name, text in GOLDEN_GENERATE.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
 
 
 GOLDEN_TRIALS = """d,n,m,lambda_min,target_pe,rep,norm_error,angle,c1
-2,30,103,1.0,0.2,0,0.2550129576184042,0.07440809753387607,0.10037616201283284
-2,30,103,1.0,0.2,1,0.3869145554646682,0.3829891857107146,0.12409746138553737
-2,60,246,1.0,0.2,0,0.44428710933776094,0.13539624477280185,0.10037616201283284
-2,60,246,1.0,0.2,1,0.026045944352131336,0.005391296187688978,0.12409746138553737
+2,30,103,1.0,0.2,0,0.2550143339661151,0.07440809753387607,0.10037631759563284
+2,30,103,1.0,0.2,1,0.3869132210138041,0.3829891857107146,0.12409722599020598
+2,60,246,1.0,0.2,0,0.44428582546807316,0.13539624477280185,0.10037631759563284
+2,60,246,1.0,0.2,1,0.026047628283883198,0.005391296187688978,0.12409722599020598
 """
 GOLDEN_AGG = """grid_value,norm_error_mean,norm_error_std,angle_mean,angle_std,count
-30,0.3209637565415362,0.06595079892313199,0.22869864162229533,0.15429054408841927,2
-60,0.23516652684494613,0.20912058249281482,0.07039377048024541,0.06500247429255644,2
+30,0.32096377748995963,0.06594944352384449,0.22869864162229533,0.15429054408841927,2
+60,0.23516672687597817,0.209119098592095,0.07039377048024541,0.06500247429255644,2
 """
 
 

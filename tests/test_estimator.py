@@ -172,13 +172,13 @@ def test_estimate_validates_inputs():
 def test_estimator_mean_tracks_the_shrunk_weights():
     # Monte Carlo check of the expectation identity at a small scale; the
     # acceptance suite repeats it at d=2 with larger trial counts.
-    from rankreg import QuadratureSpec, ScoreDifferenceLaw, estimate_c1
+    from rankreg import ScoreDifferenceLaw, estimate_c1
 
     d, n, m, trials = 5, 300, 5000, 200
     beta = np.array([1.0, -0.5, 0.25, 0.0, 2.0])
     spec = ModelSpec(d, beta, np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(5.0))
     law = ScoreDifferenceLaw.from_parameters(beta, spec.sigma)
-    c1 = estimate_c1(spec.link, law, QuadratureSpec())
+    c1 = estimate_c1(spec.link, law)
     draws = np.empty((trials, d))
     for t in range(trials):
         samples = generate_samples(RngStream(1000, 2 * t), spec, n)

@@ -30,6 +30,16 @@ from rankreg import (
 )
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
+INJECTED = "injected calibration failure"
+
+
+def _fail_calibration(monkeypatch):
+    """Make every noisy trial fail inside realize_model with the message INJECTED."""
+
+    def fail(target_pe, law):
+        raise ValueError(INJECTED)
+
+    monkeypatch.setattr(harness, "solve_alpha_for_pe", fail)
 
 
 def test_m_budget_rule():
@@ -138,8 +148,9 @@ def test_more_samples_tighten_the_angle():
     assert median_angle(500) < median_angle(50)
 
 
-def test_trial_failure_is_wrapped_with_its_origin():
-    config = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.49999)
+def test_trial_failure_is_wrapped_with_its_origin(monkeypatch):
+    _fail_calibration(monkeypatch)
+    config = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2)
     with pytest.raises(TrialExecutionError, match="repetition 3") as excinfo:
         run_trial(config, 3)
     assert excinfo.value.config == config
@@ -185,12 +196,13 @@ def test_sweep_aggregates_recompute():
         assert abs(agg.norm_error_std - errors.std()) <= 1e-12
 
 
-def test_sweep_records_failures_and_keeps_going():
-    base = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.49999, repetitions=2)
+def test_sweep_records_failures_and_keeps_going(monkeypatch):
+    _fail_calibration(monkeypatch)
+    base = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2)
     result = run_sweep(SweepSpec(base, "n", (30, 60)))
     assert len(result.rows) == 4
     assert all(isinstance(r, TrialFailure) for r in result.rows)
-    assert all("not reachable" in r.message for r in result.rows)
+    assert all(INJECTED in r.message for r in result.rows)
     for row in result.rows:
         with pytest.raises(TrialExecutionError) as excinfo:
             run_trial(row.config, row.repetition_index)
@@ -324,12 +336,13 @@ def test_write_results_noiseless_rows_leave_error_columns_empty(tmp_path):
     assert agg_line[1] == "" and agg_line[2] == ""
 
 
-def test_write_results_failure_rows_are_all_empty(tmp_path):
-    base = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.49999, repetitions=1)
+def test_write_results_failure_rows_are_all_empty(tmp_path, monkeypatch):
+    _fail_calibration(monkeypatch)
+    base = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=1)
     write_results(run_sweep(SweepSpec(base, "n", (50,), m_rule="fixed")), tmp_path / "out")
     line = _lines(tmp_path / "out.trials.csv")[1]
     assert line.endswith(",,,,")
-    assert line.split(",")[:6] == ["2", "50", "200", "0.5", "0.49999", "0"]
+    assert line.split(",")[:6] == ["2", "50", "200", "0.5", "0.2", "0"]
     assert _lines(tmp_path / "out.agg.csv")[1].split(",")[5] == "0"
 
 
