@@ -45,7 +45,6 @@ from .harness import (
     TRIALS_HEADER,
     ConfigError,
     GridAggregate,
-    MinNQuery,
     SweepResult,
     SweepSpec,
     TrialConfig,
@@ -53,7 +52,6 @@ from .harness import (
     TrialFailure,
     TrialResult,
     find_min_n,
-    find_min_n_detailed,
     m_from_n,
     read_min_n_config,
     read_sweep_config,
@@ -83,10 +81,10 @@ __all__ = [
     "write_samples_csv",
     "CovarianceEstimate", "DegreesOfFreedomError", "Estimate", "angle", "estimate_beta",
     "estimate_covariance", "norm_error", "write_estimate_csv",
-    "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "MinNQuery", "SweepResult",
-    "SweepSpec", "TrialConfig", "TrialExecutionError", "TrialFailure", "TrialResult", "find_min_n",
-    "find_min_n_detailed", "m_from_n", "read_min_n_config", "read_sweep_config", "realize_model",
-    "run_sweep", "run_trial", "simulate", "trial_stream", "write_results",
+    "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "SweepResult", "SweepSpec",
+    "TrialConfig", "TrialExecutionError", "TrialFailure", "TrialResult", "find_min_n", "m_from_n",
+    "read_min_n_config", "read_sweep_config", "realize_model", "run_sweep", "run_trial", "simulate",
+    "trial_stream", "write_results",
     "CovarianceSpec", "RngStream", "SpdMatrix", "make_covariance", "make_orthonormal_basis",
     "sample_gaussian", "sample_ground_truth",
 ]

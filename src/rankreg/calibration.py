@@ -44,8 +44,8 @@ class ScoreDifferenceLaw:
     sigma_s: float
 
     def __post_init__(self):
-        if not self.sigma_s > 0:
-            raise ValueError(f"sigma_s must be > 0, got {self.sigma_s}")
+        if not 0 < self.sigma_s < math.inf:
+            raise ValueError(f"sigma_s must be finite and > 0, got {self.sigma_s}")
 
     @classmethod
     def from_parameters(cls, beta, sigma: SpdMatrix) -> "ScoreDifferenceLaw":
@@ -85,7 +85,10 @@ def _half_line(tau: float):
 
 def _tau(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
     """The link's steepness in units of the score difference's deviation."""
-    return (link.slope if isinstance(link, LogisticLink) else link.scale) * law.sigma_s
+    tau = (link.slope if isinstance(link, LogisticLink) else link.scale) * law.sigma_s
+    if not tau < math.inf:
+        raise ValueError(f"{link} at sigma_s = {law.sigma_s} is steeper than a float can hold")
+    return tau
 
 
 def estimate_c1(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
@@ -119,8 +122,8 @@ def solve_alpha_for_pe(target_pe: float, law: ScoreDifferenceLaw) -> float:
     which is within 7% of the root.  p_e falls as tau grows, so each iterate
     narrows a bracket on the root, and a step that leaves it is replaced by
     bisection.  Targets of 0 or 1/2 are rejected: zero noise is the sign link,
-    not a finite slope, and 1/2 is the coin-flip limit.  Below about 1e-308
-    the slope would overflow a float, and that raises ValueError too.
+    not a finite slope, and 1/2 is the coin-flip limit.  Below about 1e-308,
+    or when tau / sigma_s would overflow a float, that raises ValueError too.
     """
     if not 0 < target_pe < 0.5:
         raise ValueError(f"target_pe must lie in (0, 1/2), got {target_pe}")
@@ -128,8 +131,8 @@ def solve_alpha_for_pe(target_pe: float, law: ScoreDifferenceLaw) -> float:
     lo, hi = -math.inf, math.inf
     x = math.log(1.702 / math.tan(math.pi * target_pe))
     for _ in range(100):
-        if not x < 709.0:
-            raise ValueError(f"target_pe = {target_pe} needs a slope beyond the floating-point range")
+        if not x < 709.0 or not math.exp(x) / law.sigma_s < math.inf:
+            raise ValueError(f"target_pe = {target_pe} at sigma_s = {law.sigma_s} needs a slope beyond the float range")
         tau = math.exp(x)
         u, w = _half_line(tau)
         t = tau * u

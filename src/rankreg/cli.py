@@ -31,7 +31,7 @@ from .comparisons import (
 from .estimator import angle, estimate_beta, estimate_covariance, norm_error, write_estimate_csv
 from .harness import (
     TrialFailure,
-    find_min_n_detailed,
+    find_min_n,
     read_min_n_config,
     read_sweep_config,
     realize_model,
@@ -146,7 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_min_n(args) -> int:
-    found, result = find_min_n_detailed(read_min_n_config(args.config))
+    found, result = find_min_n(*read_min_n_config(args.config))
     write_results(result, args.out_prefix)
     print("not-found" if found is None else found)
     return 0

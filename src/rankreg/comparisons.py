@@ -26,8 +26,8 @@ class LogisticLink:
     slope: float = 1.0
 
     def __post_init__(self):
-        if not self.slope > 0:
-            raise ValueError(f"slope must be > 0, got {self.slope}")
+        if not 0 < self.slope < np.inf:
+            raise ValueError(f"slope must be finite and > 0, got {self.slope}")
 
     def prob(self, x):
         return expit(self.slope * np.asarray(x, dtype=float))
@@ -45,8 +45,8 @@ class ProbitLink:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     def prob(self, x):
         return 0.5 * (1.0 + erf(self.scale * np.asarray(x, dtype=float)))

@@ -6,7 +6,9 @@ and repetition index alone, so a trial's result never depends on which
 other grid points run around it, and sweeps over the dataset sizes n and m
 reuse the same ground truths and features per repetition (paired
 comparisons across the grid).  Such a sweep realizes each repetition's
-model once and reuses it at every grid point.
+model once and reuses it at every grid point.  ``find_min_n`` runs an
+n-sweep only until its mean angle clears a threshold; a ``min-n`` config is
+read as such an n-sweep, by the same key=value parser as a ``sweep`` config.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class TrialExecutionError(RuntimeError):
 
 def m_from_n(n: int) -> int:
     """The comparison budget rule m = ceil(n ln n)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return math.ceil(n * math.log(n))
 
 
@@ -97,13 +101,8 @@ class SweepSpec:
         self.configs()  # every grid point must yield a valid TrialConfig
 
     def configs(self) -> list[TrialConfig]:
-        out = []
-        for value in self.grid:
-            cfg = replace(self.base, **{self.swept_parameter: value})
-            if self.m_rule == "n_log_n":
-                cfg = replace(cfg, m=m_from_n(cfg.n))
-            out.append(cfg)
-        return out
+        configs = [replace(self.base, **{self.swept_parameter: value}) for value in self.grid]
+        return configs if self.m_rule == "fixed" else [replace(cfg, m=m_from_n(cfg.n)) for cfg in configs]
 
 
 @dataclass(frozen=True)
@@ -147,26 +146,8 @@ class GridAggregate:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     rows: tuple
     aggregates: tuple
-
-
-@dataclass(frozen=True)
-class MinNQuery:
-    base: TrialConfig
-    n_grid: tuple
-    angle_threshold: float = 0.3
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(self.n_grid))
-        if not 0 < self.angle_threshold < math.pi:
-            raise ValueError(f"angle_threshold must lie in (0, pi), got {self.angle_threshold}")
-        self.sweep_spec()  # validates the grid
-
-    def sweep_spec(self) -> SweepSpec:
-        base = self.base if not self.n_grid else replace(self.base, n=self.n_grid[0], m=m_from_n(self.n_grid[0]))
-        return SweepSpec(base, "n", self.n_grid, "n_log_n")
 
 
 def trial_stream(config: TrialConfig, repetition_index: int) -> RngStream:
@@ -272,32 +253,36 @@ def _sweep_points(spec: SweepSpec):
         yield rows, _aggregate(value, rows)
 
 
-def _sweep_result(spec: SweepSpec, points: list) -> SweepResult:
-    return SweepResult(spec, tuple(row for rows, _ in points for row in rows), tuple(agg for _, agg in points))
+def _sweep_result(points: list) -> SweepResult:
+    return SweepResult(tuple(row for rows, _ in points for row in rows), tuple(agg for _, agg in points))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """All repetitions at every grid point; failed trials become rows, not aborts."""
-    return _sweep_result(spec, list(_sweep_points(spec)))
+    return _sweep_result(list(_sweep_points(spec)))
 
 
-def find_min_n_detailed(query: MinNQuery) -> tuple[Optional[int], SweepResult]:
-    """Smallest grid n whose mean angle clears the threshold, plus the partial sweep.
+def _angle_threshold(value: float) -> float:
+    if not 0 < value < math.pi:
+        raise ValueError(f"angle_threshold must lie in (0, pi), got {value}")
+    return value
+
+
+def find_min_n(spec: SweepSpec, angle_threshold: float = 0.3) -> tuple[Optional[int], SweepResult]:
+    """Smallest grid n of an n-sweep whose mean angle clears the threshold, plus the sweep up to it.
 
     Walks the grid in increasing order and stops at the first qualifying n;
     larger grid points are never run.
     """
-    spec = query.sweep_spec()
+    if spec.swept_parameter != "n":
+        raise ValueError(f"find_min_n needs a sweep over n, got one over {spec.swept_parameter!r}")
+    _angle_threshold(angle_threshold)
     points = []
     for rows, agg in _sweep_points(spec):
         points.append((rows, agg))
-        if agg.angle_mean is not None and agg.angle_mean <= query.angle_threshold:
-            return int(agg.grid_value), _sweep_result(spec, points)
-    return None, _sweep_result(spec, points)
-
-
-def find_min_n(query: MinNQuery) -> Optional[int]:
-    return find_min_n_detailed(query)[0]
+        if agg.angle_mean is not None and agg.angle_mean <= angle_threshold:
+            return int(agg.grid_value), _sweep_result(points)
+    return None, _sweep_result(points)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +312,29 @@ def write_results(result: SweepResult, path_prefix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sweep configuration files: flat key=value lines, '#' comments.
+# Configuration files: flat key=value lines, '#' comments.
 
 
 class ConfigError(ValueError):
-    """A sweep configuration file is malformed; message carries file and line."""
+    """A configuration file is malformed; message carries file and line."""
 
 
-_INT_KEYS = ("d", "n", "m", "repetitions", "master_seed")
-_FLOAT_KEYS = ("lambda_min", "target_pe", "angle_threshold")
-_CHOICE_KEYS = {"swept_parameter": SWEEPABLE, "m_rule": M_RULES}
-_LIST_KEYS = ("grid", "n_grid")
+def _choice(options: tuple):
+    def convert(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be one of {options}")
+        return text
+    return convert
 
 
-def _parse_config_lines(path) -> dict:
+_BASE_KEYS = {"d": int, "lambda_min": float, "target_pe": float, "repetitions": int, "master_seed": int}
+_SWEEP_KEYS = _BASE_KEYS | {"n": int, "m": int, "grid": str,
+                            "swept_parameter": _choice(SWEEPABLE), "m_rule": _choice(M_RULES)}
+_MIN_N_KEYS = _BASE_KEYS | {"n_grid": str, "angle_threshold": lambda text: _angle_threshold(float(text))}
+
+
+def _read_config(path, converters: dict, required: tuple) -> dict:
+    """The converted values of a config that may hold only the keys of ``converters``."""
     values = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -350,56 +344,37 @@ def _parse_config_lines(path) -> dict:
             key, sep, text = (part.strip() for part in line.partition("="))
             if not sep or not key:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            if key not in converters:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                elif key in _CHOICE_KEYS:
-                    if text not in _CHOICE_KEYS[key]:
-                        raise ValueError(f"must be one of {_CHOICE_KEYS[key]}")
-                    values[key] = text
-                elif key in _LIST_KEYS:
-                    values[key] = tuple(part.strip() for part in text.split(","))
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            except ConfigError:
-                raise
+                values[key] = converters[key](text)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{path}: missing required key {key!r}")
     return values
 
 
-def _require(values: dict, key: str, path) -> object:
-    if key not in values:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return values[key]
-
-
-def _numbers(raw: tuple, as_int: bool, key: str, path) -> tuple:
-    try:
-        return tuple(int(v) if as_int else float(v) for v in raw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad {key} entry: {exc}") from exc
-
-
-def _base_config(values: dict, path, default_n=None, default_m=None) -> TrialConfig:
-    n = values.get("n", default_n)
-    if n is None:
+def _sweep_spec(path, values: dict) -> SweepSpec:
+    """The sweep of a parsed config; a value the sweep rejects raises ConfigError naming the file."""
+    swept = values["swept_parameter"]
+    m_rule = values.get("m_rule", "fixed" if swept == "m" else "n_log_n")
+    if swept != "n" and "n" not in values:
         raise ConfigError(f"{path}: missing required key 'n'")
-    m = values.get("m", default_m if default_m is not None else m_from_n(n))
+    if m_rule == "fixed" and swept != "m" and "m" not in values:
+        raise ConfigError(f"{path}: m_rule=fixed needs an explicit m key")
     try:
-        return TrialConfig(
-            d=_require(values, "d", path),
-            n=n,
-            m=m,
-            lambda_min=values.get("lambda_min", 1.0),
-            target_pe=values.get("target_pe", 0.0),
-            repetitions=values.get("repetitions", 10),
-            master_seed=values.get("master_seed", 0),
-        )
+        grid = tuple(map(_SWEEP_KEYS[swept], values["grid"].split(",")))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad grid entry: {exc}") from exc
+    try:
+        n = values.get("n", grid[0])
+        m = values.get("m", grid[0] if swept == "m" else m_from_n(n))
+        base = {"lambda_min": 1.0, "target_pe": 0.0} | {key: values[key] for key in _BASE_KEYS if key in values}
+        return SweepSpec(TrialConfig(n=n, m=m, **base), swept, grid, m_rule)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -407,43 +382,19 @@ def _base_config(values: dict, path, default_n=None, default_m=None) -> TrialCon
 def read_sweep_config(path) -> SweepSpec:
     """Parse a key=value config into a SweepSpec.
 
-    Required keys: d, swept_parameter, grid, and n unless n is the swept
-    parameter (then the base n defaults to the first grid value).  m_rule
-    defaults to n_log_n except for m-sweeps, where it must be fixed; an
-    explicit m key is the base for fixed-m sweeps.
+    Required keys: d, swept_parameter, grid, and n unless n is swept (the base n is then the first grid value).
+    m_rule defaults to n_log_n except for m-sweeps, where it must be fixed; fixed m-rules take m as the base.
     """
-    values = _parse_config_lines(path)
-    swept = _require(values, "swept_parameter", path)
-    grid = _numbers(_require(values, "grid", path), swept != "lambda_min", "grid", path)
-    if not grid:
-        raise ConfigError(f"{path}: grid must not be empty")
-    m_rule = values.get("m_rule", "fixed" if swept == "m" else "n_log_n")
-    if m_rule == "fixed" and swept != "m" and "m" not in values:
-        raise ConfigError(f"{path}: m_rule=fixed needs an explicit m key")
-    base = _base_config(
-        values,
-        path,
-        default_n=grid[0] if swept == "n" else None,
-        default_m=grid[0] if swept == "m" else None,
-    )
-    try:
-        return SweepSpec(base, swept, grid, m_rule)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _sweep_spec(path, _read_config(path, _SWEEP_KEYS, ("d", "swept_parameter", "grid")))
 
 
-def read_min_n_config(path) -> MinNQuery:
-    """Parse a key=value config into a MinNQuery.
+def read_min_n_config(path) -> tuple[SweepSpec, float]:
+    """Parse a key=value config into the n-sweep and angle threshold of ``find_min_n``.
 
-    Required keys: d, n_grid; angle_threshold defaults to 0.3.  The budget
-    rule is always m = ceil(n ln n), matching the sweep the query runs.
+    Required keys: d, n_grid; angle_threshold defaults to 0.3.  The sweep runs over n = n_grid with
+    m = ceil(n ln n), so n, m, m_rule, swept_parameter and grid are not keys here.
     """
-    values = _parse_config_lines(path)
-    n_grid = _numbers(_require(values, "n_grid", path), True, "n_grid", path)
-    if not n_grid:
-        raise ConfigError(f"{path}: n_grid must not be empty")
-    base = _base_config(values, path, default_n=n_grid[0])
-    try:
-        return MinNQuery(base, n_grid, values.get("angle_threshold", 0.3))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    values = _read_config(path, _MIN_N_KEYS, ("d", "n_grid"))
+    threshold = values.pop("angle_threshold", 0.3)
+    values |= {"grid": values.pop("n_grid"), "swept_parameter": "n"}  # m_rule defaults to n_log_n
+    return _sweep_spec(path, values), threshold

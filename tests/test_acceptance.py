@@ -13,7 +13,6 @@ import numpy as np
 from rankreg import (
     CovarianceSpec,
     LogisticLink,
-    MinNQuery,
     ModelSpec,
     RngStream,
     SampleSet,
@@ -193,7 +192,7 @@ def test_criterion_8_sample_demands_track_structure(capsys):
         base = TrialConfig(
             d=d, n=300, m=m_from_n(300), lambda_min=lam, target_pe=0.2, repetitions=10, master_seed=20250808
         )
-        return find_min_n(MinNQuery(base, grid, angle_threshold=0.3))
+        return find_min_n(SweepSpec(base, "n", grid), angle_threshold=0.3)[0]
 
     by_d = [min_n(d, 0.1) for d in (5, 10, 20)]
     by_lam = [min_n(10, lam) for lam in (0.005, 0.1, 1.0)]

@@ -333,6 +333,21 @@ def test_calibrate_unreachable_target(capsys):
     assert "target_pe = 1e-320" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["--alpha", "inf", "--sigma-s", "1"], "slope must be finite"),
+        (["--alpha", "1", "--sigma-s", "inf"], "sigma_s must be finite"),
+        (["--alpha", "1e300", "--sigma-s", "1e10"], "slope=1e+300) at sigma_s = 10000000000.0 is steeper"),
+        (["--pe", "0.2", "--sigma-s", "1e-320"], "sigma_s = 1e-320 needs a slope beyond"),
+    ],
+)
+def test_calibrate_rejects_slopes_it_cannot_serve(argv, fragment, capsys):
+    assert main(["calibrate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
+
+
 def test_calibrate_near_coin_flip_target(capsys):
     assert main(["calibrate", "--pe", "0.49999", "--sigma-s", "1"]) == 0
     got = _parse_calibrate(capsys.readouterr().out)

@@ -11,7 +11,6 @@ from rankreg import (
     AGG_HEADER,
     ConfigError,
     GridAggregate,
-    MinNQuery,
     SweepSpec,
     TRIALS_HEADER,
     TrialConfig,
@@ -19,7 +18,6 @@ from rankreg import (
     TrialFailure,
     TrialResult,
     find_min_n,
-    find_min_n_detailed,
     m_from_n,
     read_min_n_config,
     read_sweep_config,
@@ -92,11 +90,13 @@ def test_sweep_spec_expands_the_budget_rule():
 def test_min_n_query_validation():
     for bad in (0.0, -1.0, math.pi, 4.0):
         with pytest.raises(ValueError):
-            MinNQuery(BASE, (30, 60), angle_threshold=bad)
+            find_min_n(SweepSpec(BASE, "n", (30, 60)), angle_threshold=bad)
     with pytest.raises(ValueError):
-        MinNQuery(BASE, (60, 30))
+        SweepSpec(BASE, "n", (60, 30))
     with pytest.raises(ValueError):
-        MinNQuery(TrialConfig(d=40, n=100, m=10, lambda_min=1.0, target_pe=0.0), (30, 60))
+        SweepSpec(TrialConfig(d=40, n=100, m=10, lambda_min=1.0, target_pe=0.0), "n", (30, 60))
+    with pytest.raises(ValueError, match="sweep over n"):
+        find_min_n(SweepSpec(BASE, "d", (1, 2)), angle_threshold=3.1)
 
 
 # --- common random numbers -------------------------------------------------
@@ -266,16 +266,14 @@ QUERY_BASE = TrialConfig(d=2, n=30, m=100, lambda_min=1.0, target_pe=0.0, repeti
 
 
 def test_find_min_n_accepts_the_first_point_under_a_loose_threshold():
-    query = MinNQuery(QUERY_BASE, (30, 60, 120), angle_threshold=3.1)
-    found, partial = find_min_n_detailed(query)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60, 120)), angle_threshold=3.1)
     assert found == 30
     assert len(partial.rows) == QUERY_BASE.repetitions  # later points never ran
     assert len(partial.aggregates) == 1
 
 
 def test_find_min_n_reports_unreachable_thresholds():
-    query = MinNQuery(QUERY_BASE, (30, 60), angle_threshold=1e-9)
-    found, partial = find_min_n_detailed(query)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60)), angle_threshold=1e-9)
     assert found is None
     assert len(partial.aggregates) == 2  # every point ran
 
@@ -283,20 +281,18 @@ def test_find_min_n_reports_unreachable_thresholds():
 def test_find_min_n_walks_until_the_threshold_clears():
     # deterministic mean angles on this grid: 0.212 at n=30, 0.151 at n=120,
     # so a 0.18 threshold forces the walk past the first point exactly once
-    query = MinNQuery(QUERY_BASE, (30, 120, 480), angle_threshold=0.18)
-    found, partial = find_min_n_detailed(query)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 120, 480)), angle_threshold=0.18)
     assert found == 120
     assert len(partial.aggregates) == 2
 
 
 def test_find_min_n_realizes_each_model_once(realize_calls):
-    query = MinNQuery(replace(BASE, repetitions=3), (30, 60, 120), angle_threshold=1e-9)
-    _, partial = find_min_n_detailed(query)
+    _, partial = find_min_n(SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120)), angle_threshold=1e-9)
     assert len(partial.aggregates) == 3 and len(realize_calls) == 3
 
 
 def test_find_min_n_empty_grid():
-    assert find_min_n(MinNQuery(QUERY_BASE, ())) is None
+    assert find_min_n(SweepSpec(QUERY_BASE, "n", ()))[0] is None
 
 
 # --- result files ----------------------------------------------------------
@@ -434,6 +430,10 @@ def test_read_sweep_config_lambda_grid_is_float(tmp_path):
         ("d = 2\nn = 50\nswept_parameter = d\ngrid = 2, 4\nm_rule = fixed\n", "explicit m key"),
         ("d = 2\nn = 50\nswept_parameter = n\ngrid = 60, 30\n", "strictly increasing"),
         ("d = 8\nswept_parameter = n\ngrid = 5, 500\n", "must exceed d + 2"),
+        ("d = 2\nswept_parameter = n\ngrid = 30\nn_grid = 30\n", ":4: unknown key"),
+        ("d = 2\nswept_parameter = n\ngrid = 30\nangle_threshold = 0.3\n", ":4: unknown key"),
+        ("d = 2\nn = 0\nswept_parameter = d\ngrid = 2, 4\n", "sweep.cfg: n must be >= 1, got 0"),
+        ("d = 2\nswept_parameter = n\ngrid = 0, 50\n", "sweep.cfg: n must be >= 1, got 0"),
     ],
 )
 def test_read_sweep_config_errors(tmp_path, text, fragment):
@@ -443,18 +443,23 @@ def test_read_sweep_config_errors(tmp_path, text, fragment):
 
 
 def test_read_min_n_config(tmp_path):
-    query = read_min_n_config(
+    spec, threshold = read_min_n_config(
         _config(tmp_path, "d = 3\nn_grid = 30, 60, 120\nangle_threshold = 0.25\ntarget_pe = 0.2\n")
     )
-    assert query.n_grid == (30, 60, 120) and query.angle_threshold == 0.25
-    assert query.base.n == 30 and query.base.m == m_from_n(30)
-    assert query.sweep_spec().m_rule == "n_log_n"
+    assert spec.grid == (30, 60, 120) and threshold == 0.25
+    assert spec.base.n == 30 and spec.base.m == m_from_n(30)
+    assert spec.swept_parameter == "n" and spec.m_rule == "n_log_n"
 
 
 def test_read_min_n_config_defaults_and_errors(tmp_path):
-    query = read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 30\n"))
-    assert query.angle_threshold == 0.3
+    _, threshold = read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 30\n"))
+    assert threshold == 0.3
     with pytest.raises(ConfigError, match="n_grid"):
         read_min_n_config(_config(tmp_path, "d = 2\n"))
     with pytest.raises(ConfigError):
         read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 30\nangle_threshold = 9\n"))
+    with pytest.raises(ConfigError, match="sweep.cfg: n must be >= 1, got 0"):
+        read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 0, 50\n"))
+    for line in ("n = 30", "m = 100", "m_rule = fixed", "swept_parameter = d", "grid = 1, 2"):
+        with pytest.raises(ConfigError, match=":3: unknown key"):
+            read_min_n_config(_config(tmp_path, f"d = 2\nn_grid = 30\n{line}\n"))
