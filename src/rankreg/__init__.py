@@ -31,9 +31,7 @@ from .comparisons import (
     write_samples_csv,
 )
 from .estimator import (
-    CovarianceEstimate,
     DegreesOfFreedomError,
-    Estimate,
     angle,
     estimate_beta,
     estimate_covariance,
@@ -63,7 +61,6 @@ from .harness import (
     write_results,
 )
 from .randomness import (
-    CovarianceSpec,
     RngStream,
     SpdMatrix,
     make_covariance,
@@ -79,13 +76,13 @@ __all__ = [
     "ModelSpec", "ProbitLink", "SampleSet", "flip_fraction", "generate_comparisons",
     "generate_samples", "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv",
     "write_samples_csv",
-    "CovarianceEstimate", "DegreesOfFreedomError", "Estimate", "angle", "estimate_beta",
-    "estimate_covariance", "norm_error", "write_estimate_csv",
+    "DegreesOfFreedomError", "angle", "estimate_beta", "estimate_covariance", "norm_error",
+    "write_estimate_csv",
     "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "SweepResult", "SweepSpec",
     "TrialConfig", "TrialExecutionError", "TrialFailure", "TrialResult", "find_min_n", "m_from_n",
     "read_min_n_config", "read_sweep_config", "realize_model", "run_sweep", "run_trial", "simulate",
     "trial_stream", "write_results",
-    "CovarianceSpec", "RngStream", "SpdMatrix", "make_covariance", "make_orthonormal_basis",
-    "sample_gaussian", "sample_ground_truth",
+    "RngStream", "SpdMatrix", "make_covariance", "make_orthonormal_basis", "sample_gaussian",
+    "sample_ground_truth",
 ]
 __version__ = "0.1.0"

@@ -76,7 +76,9 @@ def _half_line(tau: float):
     """Nodes u and weights w with sum(w * g(u)) = int_0^inf g(u) phi(u) du for a
     term g that changes over a width 1/tau.  Pieces cut to zero length at
     u = 9 get zero weight."""
-    ends = np.minimum(_WIDTHS / tau, _GAUSS_END)
+    # Every tau below 2/9 already cuts all pieces but the first at u = 9; the
+    # floor on tau only keeps 48 / tau finite.
+    ends = np.minimum(_WIDTHS / max(tau, 1e-300), _GAUSS_END)
     a, b = ends[:-1, None], ends[1:, None]
     half = 0.5 * (b - a)
     u = (0.5 * (a + b) + half * _NODES).ravel()
@@ -107,11 +109,13 @@ def estimate_pe(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
 
     By symmetry this is twice the mass of (label = +1, score difference < 0):
     2 int_0^inf f(-sigma_s u) phi(u) du.  The sign link never contradicts it.
+    For a link flat over u in [0, 9] the rule's weights sum to 1e-15 above
+    1/2, so the result is capped at the coin-flip limit 1/2.
     """
     if isinstance(link, DeterministicLink):
         return 0.0
     u, w = _half_line(_tau(link, law))
-    return 2.0 * float(w @ link.prob(-law.sigma_s * u))
+    return min(0.5, 2.0 * float(w @ link.prob(-law.sigma_s * u)))
 
 
 def solve_alpha_for_pe(target_pe: float, law: ScoreDifferenceLaw) -> float:

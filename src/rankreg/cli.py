@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +18,9 @@ import numpy as np
 from .calibration import ScoreDifferenceLaw, estimate_c1, estimate_pe, solve_alpha_for_pe
 from .comparisons import (
     CsvFormatError,
+    DeterministicLink,
     LogisticLink,
+    ModelSpec,
     _names,
     _read_csv,
     _write_csv,
@@ -28,7 +29,7 @@ from .comparisons import (
     write_comparisons_csv,
     write_samples_csv,
 )
-from .estimator import angle, estimate_beta, estimate_covariance, norm_error, write_estimate_csv
+from .estimator import angle, estimate_beta, norm_error, write_estimate_csv
 from .harness import (
     TrialFailure,
     find_min_n,
@@ -42,21 +43,9 @@ from .harness import (
 from .randomness import RngStream, SpdMatrix
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Ground truth as persisted by generate: weights plus link calibration."""
-
-    beta: np.ndarray
-    alpha: Optional[float]
-    c1: Optional[float]
-
-
-def _sigma_names(d: int) -> list[str]:
-    return [f"sigma_{r + 1}_{c + 1}" for r in range(d) for c in range(d)]
-
-
 def _truth_names(d: int) -> list[str]:
-    return _names("beta", d) + _names("mu", d) + _sigma_names(d) + ["alpha", "c1"]
+    sigma = [f"sigma_{r + 1}_{c + 1}" for r in range(d) for c in range(d)]
+    return _names("beta", d) + _names("mu", d) + sigma + ["alpha", "c1"]
 
 
 def write_truth_csv(model, alpha: Optional[float], c1: Optional[float], path) -> None:
@@ -69,28 +58,36 @@ def write_truth_csv(model, alpha: Optional[float], c1: Optional[float], path) ->
     _write_csv(path, _truth_names(model.d), [row + ["deterministic" if alpha is None else alpha, c1]])
 
 
-def _read_row(path, header, dtype=float) -> np.ndarray:
-    """The data row of a one-row CSV; see :func:`rankreg.comparisons._read_csv`."""
-    rows = _read_csv(path, header, dtype)
-    if len(rows) != 1:
-        raise CsvFormatError(f"{path}: expected one data row, got {len(rows)}")
-    return rows[0]
+def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
+    """The ``(model, alpha, c1)`` that :func:`rankreg.harness.realize_model` returned when ``path`` was written.
 
-
-def read_truth_csv(path) -> TruthRecord:
+    Every column is validated as the model is built.  A non-finite value,
+    alpha <= 0, c1 <= 0, a c1 with alpha "deterministic" or an empty c1 with a
+    numeric alpha, a covariance that is not symmetric positive definite, or a
+    header of dimension 0 raises :class:`CsvFormatError` naming ``path:2``.
+    """
     # A row for dimension d has (d + 1)^2 + 1 fields.  It is read as text since alpha and c1 may hold
     # the noiseless markers; as object, because loadtxt allocates str reads 50000 rows at a time.
-    row = _read_row(path, lambda width: _truth_names(math.isqrt(width - 1) - 1), object)
-    d = math.isqrt(len(row) - 1) - 1
+    rows = _read_csv(path, lambda width: _truth_names(math.isqrt(width - 1) - 1), object)
+    if len(rows) != 1:
+        raise CsvFormatError(f"{path}: expected one data row, got {len(rows)}")
+    *values, alpha, c1 = rows[0]
+    d = math.isqrt(len(values) + 1) - 1
     try:
-        beta = row[:d].astype(float)
-        alpha = None if row[-2] == "deterministic" else float(row[-2])
-        c1 = None if row[-1] == "" else float(row[-1])
-    except ValueError as exc:
+        values = np.array(values, dtype=float)
+        alpha = None if alpha == "deterministic" else float(alpha)
+        c1 = None if c1 == "" else float(c1)
+        if not np.isfinite([*values, *(v for v in (alpha, c1) if v is not None)]).all():
+            raise ValueError("value is not finite")
+        if (alpha is None) != (c1 is None):
+            raise ValueError("c1 must be empty exactly when alpha is 'deterministic'")
+        if c1 is not None and not c1 > 0:
+            raise ValueError(f"c1 must be > 0, got {c1}")
+        link = DeterministicLink() if alpha is None else LogisticLink(alpha)
+        model = ModelSpec(d, values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
+    except ValueError as exc:  # numpy's LinAlgError included
         raise CsvFormatError(f"{path}:2: {exc}") from exc
-    if not np.isfinite([*beta, *(v for v in (alpha, c1) if v is not None)]).all():
-        raise CsvFormatError(f"{path}:2: value is not finite")
-    return TruthRecord(beta, alpha, c1)
+    return model, alpha, c1
 
 
 def cmd_generate(args) -> int:
@@ -106,30 +103,25 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     samples = read_samples_csv(args.samples)
     dataset = read_comparisons_csv(args.comparisons, samples.n)
-    truth = None if args.truth is None else read_truth_csv(args.truth)
-    if truth is not None and len(truth.beta) != samples.d:
-        raise ValueError(f"{args.truth}: truth has d={len(truth.beta)} but {args.samples} has d={samples.d}")
-    est = estimate_beta(dataset, samples, estimate_covariance(samples))
-    write_estimate_csv(est, args.out)
-    print("beta_hat=" + ",".join(repr(float(v)) for v in est.beta_hat))
-    if truth is not None:
-        if truth.c1 is not None:
-            print(f"norm_error={norm_error(est.beta_hat, truth.beta, truth.c1)!r}")
-        print(f"angle={angle(est.beta_hat, truth.beta)!r}")
+    model, _, c1 = (None, None, None) if args.truth is None else read_truth_csv(args.truth)
+    if model is not None and model.d != samples.d:
+        raise ValueError(f"{args.truth}: truth has d={model.d} but {args.samples} has d={samples.d}")
+    beta_hat = estimate_beta(dataset, samples)
+    write_estimate_csv(beta_hat, samples.n, dataset.m, args.out)
+    print("beta_hat=" + ",".join(repr(float(v)) for v in beta_hat))
+    if model is not None:
+        if c1 is not None:
+            print(f"norm_error={norm_error(beta_hat, model.beta, c1)!r}")
+        print(f"angle={angle(beta_hat, model.beta)!r}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    if args.sigma_s is not None:
-        if args.beta_file is not None or args.sigma_file is not None:
-            args.parser.error("--sigma-s excludes --beta-file/--sigma-file")
+    if args.truth is None:
         law = ScoreDifferenceLaw(args.sigma_s)
     else:
-        if args.beta_file is None or args.sigma_file is None:
-            args.parser.error("need either --sigma-s or both --beta-file and --sigma-file")
-        beta = _read_row(args.beta_file, lambda width: _names("beta", width))
-        sigma = _read_row(args.sigma_file, lambda width: _sigma_names(math.isqrt(width)))
-        law = ScoreDifferenceLaw.from_parameters(beta, SpdMatrix(sigma.reshape(math.isqrt(len(sigma)), -1)))
+        model, _, _ = read_truth_csv(args.truth)
+        law = ScoreDifferenceLaw.from_parameters(model.beta, model.sigma)
     alpha = args.alpha if args.alpha is not None else solve_alpha_for_pe(args.pe, law)
     link = LogisticLink(alpha)
     print(f"c1={estimate_c1(link, law)!r} pe={estimate_pe(link, law)!r} alpha={alpha!r}")
@@ -168,33 +160,33 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--pe", type=float, default=0.0, help="target label-noise rate; 0 means noiseless")
     g.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     g.add_argument("--out-prefix", default="out", help="output file prefix (default 'out')")
-    g.set_defaults(func=cmd_generate, parser=g)
+    g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("estimate", help="estimate weights from samples and comparisons")
     e.add_argument("--samples", required=True, help="samples CSV path")
     e.add_argument("--comparisons", required=True, help="comparisons CSV path")
     e.add_argument("--truth", help="truth CSV path; enables metrics output")
     e.add_argument("--out", default="beta_hat.csv", help="estimate CSV path (default beta_hat.csv)")
-    e.set_defaults(func=cmd_estimate, parser=e)
+    e.set_defaults(func=cmd_estimate)
 
     c = sub.add_parser("calibrate", help="map the logistic slope to the noise rate and back")
     pick = c.add_mutually_exclusive_group(required=True)
     pick.add_argument("--alpha", type=float, help="logistic slope to evaluate")
     pick.add_argument("--pe", type=float, help="target noise rate to solve the slope for")
-    c.add_argument("--sigma-s", type=float, help="score-difference standard deviation")
-    c.add_argument("--beta-file", help="one-row CSV of weights (header beta_1,...)")
-    c.add_argument("--sigma-file", help="one-row CSV of the row-major covariance (header sigma_1_1,...)")
-    c.set_defaults(func=cmd_calibrate, parser=c)
+    law = c.add_mutually_exclusive_group(required=True)
+    law.add_argument("--sigma-s", type=float, help="score-difference standard deviation")
+    law.add_argument("--truth", help="truth CSV written by generate; sigma_s is derived from its beta and sigma")
+    c.set_defaults(func=cmd_calibrate)
 
     s = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     s.add_argument("--config", required=True, help="key=value sweep configuration file")
     s.add_argument("--out-prefix", default="sweep", help="output prefix for .trials.csv/.agg.csv")
-    s.set_defaults(func=cmd_sweep, parser=s)
+    s.set_defaults(func=cmd_sweep)
 
     n = sub.add_parser("min-n", help="smallest n on a grid whose mean angle clears a threshold")
     n.add_argument("--config", required=True, help="key=value configuration file with an n_grid")
     n.add_argument("--out-prefix", default="min_n", help="output prefix for .trials.csv/.agg.csv")
-    n.set_defaults(func=cmd_min_n, parser=n)
+    n.set_defaults(func=cmd_min_n)
     return parser
 
 

@@ -5,13 +5,10 @@ feature covariance with a degrees-of-freedom correction that makes the
 *inverse* estimate unbiased, and the first half supplies the compared
 feature rows.  The weight estimate is the label-weighted average of
 whitened feature differences, evaluated as one accumulated sum followed by
-a single triangular solve.
+one Cholesky solve: a forward and a back substitution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -24,60 +21,7 @@ class DegreesOfFreedomError(ValueError):
     """Too few covariance samples for the corrected estimate (need N > d + 2)."""
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceEstimate:
-    """Corrected covariance estimate; its inverse is computed only when read.
-
-    The 1/(N-d-2) normalization makes the inverse, not the forward matrix,
-    an unbiased estimate of the population quantity.
-    """
-
-    sigma_hat: SpdMatrix
-    dof_n: int
-    mu_hat: np.ndarray
-
-    def __post_init__(self):
-        d = self.sigma_hat.dim
-        if self.dof_n <= d + 2:
-            raise DegreesOfFreedomError(f"need N > d + 2, got N={self.dof_n}, d={d}")
-        object.__setattr__(self, "mu_hat", np.asarray(self.mu_hat, dtype=float))
-        if self.mu_hat.shape != (d,):
-            raise ValueError(f"mu_hat has shape {self.mu_hat.shape}, expected ({d},)")
-
-    @cached_property
-    def sigma_hat_inv(self) -> np.ndarray:
-        """Symmetrized inverse from the Cholesky factor; raises if its residual exceeds 1e-8."""
-        eye = np.eye(self.sigma_hat.dim)
-        inv = cho_solve((self.sigma_hat.cholesky, True), eye)
-        inv = (inv + inv.T) / 2
-        residual = np.abs(inv @ self.sigma_hat.entries - eye).max()
-        if not residual <= 1e-8:
-            raise ValueError(f"sigma_hat_inv is not an inverse of sigma_hat (residual {residual:g})")
-        return inv
-
-
-@dataclass(frozen=True, eq=False)
-class Estimate:
-    beta_hat: np.ndarray
-    m_used: int
-    n_used: int
-
-    def __post_init__(self):
-        b = np.asarray(self.beta_hat, dtype=float)
-        object.__setattr__(self, "beta_hat", b)
-        if b.ndim != 1 or len(b) < 1:
-            raise ValueError(f"beta_hat must be a nonempty vector, got shape {b.shape}")
-        if not np.isfinite(b).all():
-            raise ValueError("beta_hat has non-finite entries")
-        if self.m_used < 1 or self.n_used < 1:
-            raise ValueError("m_used and n_used must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.beta_hat)
-
-
-def estimate_covariance(samples: SampleSet) -> CovarianceEstimate:
+def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     """Estimate the feature covariance from the second half of ``samples``.
 
     Uses the corrected normalization 1/(N - d - 2) so the inverse of the
@@ -89,36 +33,30 @@ def estimate_covariance(samples: SampleSet) -> CovarianceEstimate:
     if n <= d + 2:
         raise DegreesOfFreedomError(f"need N > d + 2, got N={n}, d={d}")
     half = samples.covariance_half
-    mu_hat = half.mean(axis=0)
-    centered = half - mu_hat
-    scatter = centered.T @ centered
-    sigma = scatter / (n - d - 2)
-    return CovarianceEstimate(SpdMatrix((sigma + sigma.T) / 2), n, mu_hat)
+    centered = half - half.mean(axis=0)
+    sigma = centered.T @ centered / (n - d - 2)
+    return SpdMatrix((sigma + sigma.T) / 2)
 
 
-def estimate_beta(
-    dataset: ComparisonDataset, samples: SampleSet, cov: CovarianceEstimate
-) -> Estimate:
-    """Label-weighted average of whitened feature differences.
+def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
+    """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
     The per-comparison sum of y * (x_i - x_j) collapses to per-row integer
     label weights, so the accumulation costs O(M + Nd) and is independent of
     the order of the comparison triples.  The whitening solve is applied once
-    to the accumulated vector.
+    to the accumulated vector.  Raises ValueError when the result is not finite.
     """
     if dataset.n != samples.n:
         raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
-    if cov.sigma_hat.dim != samples.d:
-        raise ValueError(f"covariance dim {cov.sigma_hat.dim} does not match feature dim {samples.d}")
-    if cov.dof_n != samples.n:
-        raise ValueError(f"covariance built from N={cov.dof_n}, samples have N={samples.n}")
     y = dataset.y.astype(float)
     weights = np.bincount(dataset.i, weights=y, minlength=samples.n) - np.bincount(
         dataset.j, weights=y, minlength=samples.n
     )
     accumulated = weights @ samples.comparison_half
-    beta_hat = cho_solve((cov.sigma_hat.cholesky, True), accumulated) / dataset.m
-    return Estimate(beta_hat, dataset.m, samples.n)
+    beta_hat = cho_solve((estimate_covariance(samples).cholesky, True), accumulated) / dataset.m
+    if not np.isfinite(beta_hat).all():
+        raise ValueError("beta_hat has non-finite entries")
+    return beta_hat
 
 
 def _same_shape(beta_hat, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +88,6 @@ def angle(beta_hat: np.ndarray, beta: np.ndarray) -> float:
     return float(np.arccos(cosine))
 
 
-def write_estimate_csv(estimate: Estimate, path) -> None:
+def write_estimate_csv(beta_hat: np.ndarray, n: int, m: int, path) -> None:
     """Single-row CSV: n, m, then the estimated weight coordinates."""
-    row = [estimate.n_used, estimate.m_used, *estimate.beta_hat.tolist()]
-    _write_csv(path, ["n", "m", *_names("beta_hat", estimate.d)], [row])
+    _write_csv(path, ["n", "m", *_names("beta_hat", len(beta_hat))], [[n, m, *beta_hat.tolist()]])

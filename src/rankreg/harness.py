@@ -29,8 +29,8 @@ from .comparisons import (
     generate_comparisons,
     generate_samples,
 )
-from .estimator import angle, estimate_beta, estimate_covariance, norm_error
-from .randomness import CovarianceSpec, RngStream, _mix, make_covariance, sample_ground_truth
+from .estimator import angle, estimate_beta, norm_error
+from .randomness import RngStream, _mix, make_covariance, sample_ground_truth
 
 SWEEPABLE = ("n", "m", "d", "lambda_min")
 M_RULES = ("fixed", "n_log_n")
@@ -169,7 +169,7 @@ def realize_model(stream: RngStream, d: int, lambda_min: float, target_pe: float
     target_pe = 0, where the sign link is used and c1 is undefined.
     """
     beta, mu = sample_ground_truth(stream.child("ground-truth"), d)
-    sigma = make_covariance(CovarianceSpec(d, lambda_min, stream.child("basis")))
+    sigma = make_covariance(stream.child("basis"), d, lambda_min)
     if target_pe == 0:
         return ModelSpec(d, beta, mu, sigma, DeterministicLink()), None, None
     law = ScoreDifferenceLaw.from_parameters(beta, sigma)
@@ -211,9 +211,9 @@ def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> Tria
             models[repetition_index] = realize_model(stream, config.d, config.lambda_min, config.target_pe)
         model, _, c1 = models[repetition_index]
         samples, dataset = simulate(stream, model, config.n, config.m)
-        estimate = estimate_beta(dataset, samples, estimate_covariance(samples))
-        ang = angle(estimate.beta_hat, model.beta)
-        err = None if c1 is None else norm_error(estimate.beta_hat, model.beta, c1)
+        beta_hat = estimate_beta(dataset, samples)
+        ang = angle(beta_hat, model.beta)
+        err = None if c1 is None else norm_error(beta_hat, model.beta, c1)
     except Exception as exc:
         raise TrialExecutionError(config, repetition_index, exc) from exc
     return TrialResult(config, repetition_index, err, ang, c1, time.perf_counter() - start)

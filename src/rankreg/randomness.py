@@ -97,26 +97,6 @@ class SpdMatrix:
         return np.linalg.cholesky(self.entries)
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Recipe for a random covariance with a prescribed spectrum.
-
-    Eigenvalues are linearly spaced over ``[lambda_min, 1]`` (both endpoints
-    included for dim >= 2); eigenvectors come from a random orthonormal basis
-    drawn from ``basis_seed``.
-    """
-
-    dim: int
-    lambda_min: float
-    basis_seed: RngStream
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not 0 < self.lambda_min <= 1:
-            raise ValueError(f"lambda_min must lie in (0, 1], got {self.lambda_min}")
-
-
 def make_orthonormal_basis(rng: RngStream, d: int) -> np.ndarray:
     """Draw a uniformly distributed (Haar) orthonormal basis of R^d.
 
@@ -134,13 +114,21 @@ def make_orthonormal_basis(rng: RngStream, d: int) -> np.ndarray:
     return q * signs
 
 
-def make_covariance(spec: CovarianceSpec) -> SpdMatrix:
-    """Build the covariance Q diag(eigenvalues) Q^T for the given spectrum spec."""
-    d = spec.dim
+def make_covariance(rng: RngStream, d: int, lambda_min: float) -> SpdMatrix:
+    """Build the covariance Q diag(eigenvalues) Q^T of a prescribed spectrum.
+
+    Eigenvalues are linearly spaced over ``[lambda_min, 1]`` (both endpoints
+    included for d >= 2); the eigenvectors Q are a random orthonormal basis
+    drawn from ``rng``, which a 1 x 1 covariance does not read.
+    """
+    if d < 1:
+        raise ValueError(f"dim must be >= 1, got {d}")
+    if not 0 < lambda_min <= 1:
+        raise ValueError(f"lambda_min must lie in (0, 1], got {lambda_min}")
     if d == 1:
-        return SpdMatrix(np.array([[spec.lambda_min]]))
-    eigenvalues = np.linspace(spec.lambda_min, 1.0, d)
-    q = make_orthonormal_basis(spec.basis_seed, d)
+        return SpdMatrix(np.array([[lambda_min]]))
+    eigenvalues = np.linspace(lambda_min, 1.0, d)
+    q = make_orthonormal_basis(rng, d)
     sigma = (q * eigenvalues) @ q.T
     # Products of floats are symmetric only up to round-off; make it exact.
     sigma = (sigma + sigma.T) / 2

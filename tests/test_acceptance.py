@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from rankreg import (
-    CovarianceSpec,
     LogisticLink,
     ModelSpec,
     RngStream,
@@ -58,7 +57,7 @@ def test_criterion_1_estimator_mean_recovers_scaled_weights(capsys):
         s = root.child("trial", t)
         samples = generate_samples(s.child("features"), spec, 500)
         dataset = generate_comparisons(s.child("comparisons"), spec, samples, 10_000)
-        hats[t] = estimate_beta(dataset, samples, estimate_covariance(samples)).beta_hat
+        hats[t] = estimate_beta(dataset, samples)
     se = hats.std(axis=0, ddof=1) / math.sqrt(500)
     dev = np.abs(hats.mean(axis=0) - c1 * beta) / se
     _report(
@@ -72,13 +71,13 @@ def test_criterion_1_estimator_mean_recovers_scaled_weights(capsys):
 
 def test_criterion_2_inverse_covariance_is_unbiased(capsys):
     stream = RngStream(20250802)
-    sigma = make_covariance(CovarianceSpec(5, 0.2, stream.child("basis")))
+    sigma = make_covariance(stream.child("basis"), 5, 0.2)
     inv_true = np.linalg.inv(sigma.entries)
     mu = np.zeros(5)
     acc = np.zeros((5, 5))
     for t in range(2000):
         features = sample_gaussian(stream.child("x", t), mu, sigma, 400)
-        acc += estimate_covariance(SampleSet(200, features)).sigma_hat_inv
+        acc += np.linalg.inv(estimate_covariance(SampleSet(200, features)).entries)
     rel = np.linalg.norm(acc / 2000 - inv_true) / np.linalg.norm(inv_true)
     _report(
 capsys,
@@ -219,20 +218,19 @@ def test_criterion_9_exactness_and_determinism(tmp_path, capsys):
     )
     samples = generate_samples(stream.child("features"), spec, 100)
     dataset = generate_comparisons(stream.child("comparisons"), spec, samples, 500)
-    cov = estimate_covariance(samples)
-    beta_hat = estimate_beta(dataset, samples, cov).beta_hat
+    beta_hat = estimate_beta(dataset, samples)
 
     from rankreg import ComparisonDataset
 
     negated = ComparisonDataset(dataset.n, dataset.i, dataset.j, -dataset.y)
-    linear = np.array_equal(estimate_beta(negated, samples, cov).beta_hat, -beta_hat)
+    linear = np.array_equal(estimate_beta(negated, samples), -beta_hat)
 
     order = stream.child("perm").generator().permutation(dataset.m)
     shuffled = ComparisonDataset(dataset.n, dataset.i[order], dataset.j[order], dataset.y[order])
-    permuted = np.array_equal(estimate_beta(shuffled, samples, cov).beta_hat, beta_hat)
+    permuted = np.array_equal(estimate_beta(shuffled, samples), beta_hat)
 
     scaled_samples = SampleSet(samples.n, 3.0 * samples.features)
-    scaled_hat = estimate_beta(dataset, scaled_samples, estimate_covariance(scaled_samples)).beta_hat
+    scaled_hat = estimate_beta(dataset, scaled_samples)
     scale_rel = float(np.max(np.abs(scaled_hat - beta_hat / 3.0) / np.abs(beta_hat / 3.0)))
 
     v = np.array([3.0, 4.0])

@@ -16,6 +16,7 @@ import pytest
 import rankreg
 from rankreg import (
     CsvFormatError,
+    DeterministicLink,
     LogisticLink,
     RngStream,
     ScoreDifferenceLaw,
@@ -68,15 +69,37 @@ def test_generate_is_reproducible_byte_for_byte(tmp_path):
 
 
 def test_generate_truth_records_the_link_calibration(tmp_path):
-    noiseless = read_truth_csv(_generate(tmp_path, prefix="a").with_suffix(".truth.csv"))
-    assert noiseless.alpha is None and noiseless.c1 is None
-    noisy = read_truth_csv(_generate(tmp_path, pe=0.2, prefix="b").with_suffix(".truth.csv"))
-    assert noisy.alpha > 0 and noisy.c1 > 0
+    _, alpha, c1 = read_truth_csv(_generate(tmp_path, prefix="a").with_suffix(".truth.csv"))
+    assert alpha is None and c1 is None
+    _, alpha, c1 = read_truth_csv(_generate(tmp_path, pe=0.2, prefix="b").with_suffix(".truth.csv"))
+    assert alpha > 0 and c1 > 0
 
 
 def test_generate_calibrates_a_low_noise_target(tmp_path):
-    truth = read_truth_csv(_generate(tmp_path, pe=1e-4).with_suffix(".truth.csv"))
-    assert truth.alpha > 0 and truth.c1 > 0
+    _, alpha, c1 = read_truth_csv(_generate(tmp_path, pe=1e-4).with_suffix(".truth.csv"))
+    assert alpha > 0 and c1 > 0
+
+
+@pytest.mark.parametrize("pe", [0.0, 0.2])
+def test_read_truth_csv_returns_the_realized_model(tmp_path, pe):
+    out = _generate(tmp_path, d=3, n=10, m=5, pe=pe, lam=0.3, seed=9)
+    model, alpha, c1 = realize_model(RngStream(9), 3, 0.3, pe)
+    got, got_alpha, got_c1 = read_truth_csv(out.with_suffix(".truth.csv"))
+    assert np.array_equal(got.beta, model.beta) and np.array_equal(got.mu, model.mu)
+    assert np.array_equal(got.sigma.entries, model.sigma.entries)
+    assert (got_alpha, got_c1) == (alpha, c1)
+    if pe:
+        assert isinstance(got.link, LogisticLink) and got.link.slope == alpha
+    else:
+        assert isinstance(got.link, DeterministicLink)
+
+
+@pytest.mark.parametrize("lambda_min", ["0", "1.5"])
+def test_generate_rejects_a_spectrum_floor_outside_the_unit_interval(tmp_path, capsys, lambda_min):
+    argv = ["generate", "--d", "3", "--n", "10", "--m", "5", "--lambda-min", lambda_min]
+    assert main([*argv, "--out-prefix", str(tmp_path / "out")]) == 1
+    assert "lambda_min must lie in (0, 1]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("pe,lam,seed", [(0.0, 1.0, 3), (0.2, 0.3, 8)])
@@ -207,12 +230,52 @@ def test_estimate_names_the_line_of_a_non_finite_sample(tmp_path, capsys):
     assert f"{path}:5: value is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha,fragment", [("inf", "not finite"), ("oops", "oops")])
-def test_read_truth_csv_rejects_bad_values_at_their_line(tmp_path, alpha, fragment):
+_TRUTH_1 = "beta_1,mu_1,sigma_1_1,alpha,c1\n"
+_TRUTH_2 = "beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alpha,c1\n"
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,inf,0.5\n", "not finite", id="inf-not finite"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,oops,0.5\n", "oops", id="oops-oops"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,2.0,0.0\n", "c1 must be > 0", id="c1-zero"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,2.0,-0.5\n", "c1 must be > 0", id="c1-negative"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,-1.0,0.5\n", "slope must be finite and > 0", id="alpha-negative"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,0.0,0.5\n", "slope must be finite and > 0", id="alpha-zero"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,deterministic,0.5\n", "c1 must be empty", id="deterministic-with-c1"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,2.0,\n", "c1 must be empty", id="alpha-without-c1"),
+        pytest.param(_TRUTH_2 + "1.0,0.0,0.0,0.0,1.0,0.5,0.0,1.0,2.0,0.5\n", "not symmetric", id="sigma-asymmetric"),
+        pytest.param(_TRUTH_2 + "1.0,0.0,0.0,0.0,1.0,2.0,2.0,1.0,2.0,0.5\n", "not positive definite", id="sigma-indefinite"),
+        pytest.param("alpha,c1\n2.0,0.5\n", "square matrix", id="dimension-0"),
+    ],
+)
+def test_read_truth_csv_rejects_bad_values_at_their_line(tmp_path, text, fragment):
     path = tmp_path / "t.truth.csv"
-    path.write_text(f"beta_1,mu_1,sigma_1_1,alpha,c1\n1.0,0.0,1.0,{alpha},0.5\n")
-    with pytest.raises(CsvFormatError, match=f":2: .*{fragment}"):
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=f"t.truth.csv:2: .*{fragment}"):
         read_truth_csv(path)
+
+
+@pytest.mark.parametrize("alpha,c1,fragment", [("2.0", "0.0", "c1 must be > 0"), ("-1.0", "0.5", "slope must be")])
+def test_estimate_checks_the_truth_before_estimating(tmp_path, capsys, alpha, c1, fragment):
+    out = _generate(tmp_path, d=2, n=20, m=50, pe=0.2)
+    truth = out.with_suffix(".truth.csv")
+    header, row = truth.read_text().splitlines()
+    truth.write_text(f"{header}\n{','.join(row.split(',')[:-2] + [alpha, c1])}\n")
+    rc = main(
+        [
+            "estimate",
+            "--samples", str(out.with_suffix(".samples.csv")),
+            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--truth", str(truth),
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"{truth}:2: {fragment}" in captured.err
+    assert not (tmp_path / "bh.csv").exists()
 
 
 def test_estimate_needs_enough_covariance_rows(tmp_path, capsys):
@@ -285,11 +348,9 @@ def test_calibrate_solves_and_round_trips(capsys):
 
 
 def test_calibrate_from_parameter_files(tmp_path, capsys):
-    beta = tmp_path / "beta.csv"
-    beta.write_text("beta_1,beta_2\n1.0,0.0\n")
-    sigma = tmp_path / "sigma.csv"
-    sigma.write_text("sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2\n1.0,0.0,0.0,1.0\n")
-    rc = main(["calibrate", "--alpha", "1", "--beta-file", str(beta), "--sigma-file", str(sigma)])
+    truth = tmp_path / "t.truth.csv"
+    truth.write_text(_TRUTH_2 + "1.0,0.0,5.0,-5.0,1.0,0.0,0.0,1.0,deterministic,\n")
+    rc = main(["calibrate", "--alpha", "1", "--truth", str(truth)])
     assert rc == 0
     got = _parse_calibrate(capsys.readouterr().out)
     # identity covariance and a unit direction put sigma_s at sqrt(2)
@@ -302,8 +363,8 @@ def test_calibrate_from_parameter_files(tmp_path, capsys):
         ["calibrate", "--alpha", "1", "--pe", "0.2", "--sigma-s", "1"],
         ["calibrate", "--sigma-s", "1"],
         ["calibrate", "--alpha", "1"],
-        ["calibrate", "--alpha", "1", "--sigma-s", "1", "--beta-file", "x.csv"],
-        ["calibrate", "--alpha", "1", "--beta-file", "x.csv"],
+        ["calibrate", "--alpha", "1", "--sigma-s", "1", "--truth", "x.csv"],
+        ["calibrate", "--truth", "x.csv"],
     ],
 )
 def test_calibrate_usage_errors(argv, capsys):
@@ -312,19 +373,18 @@ def test_calibrate_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "beta_text,sigma_text,fragment",
+    "text,fragment",
     [
-        ("beta_1\ninf\n", "sigma_1_1\n1.0\n", "beta.csv:2: value is not finite"),
-        ("beta_1\n1.0\n", "sigma_1_1,sigma_1_2\n1.0,0.0\n", "sigma.csv:1: expected header"),
-        ("beta_1\n1.0\n2.0\n", "sigma_1_1\n1.0\n", "expected one data row, got 2"),
+        pytest.param(_TRUTH_1 + "inf,0.0,1.0,2.0,0.5\n", "t.truth.csv:2: value is not finite", id="non-finite"),
+        pytest.param("beta_1,mu_1,sigma_1_1,c1\n1.0,0.0,1.0,0.5\n", "t.truth.csv:1: expected header", id="bad-header"),
+        pytest.param(_TRUTH_1 + "1.0,0.0,1.0,2.0,0.5\n" * 2, "t.truth.csv: expected one data row, got 2", id="two-rows"),
     ],
 )
-def test_calibrate_rejects_malformed_parameter_files(tmp_path, capsys, beta_text, sigma_text, fragment):
-    (tmp_path / "beta.csv").write_text(beta_text)
-    (tmp_path / "sigma.csv").write_text(sigma_text)
-    files = ["--beta-file", str(tmp_path / "beta.csv"), "--sigma-file", str(tmp_path / "sigma.csv")]
-    assert main(["calibrate", "--alpha", "1", *files]) == 1
-    assert fragment in capsys.readouterr().err
+def test_calibrate_rejects_malformed_parameter_files(tmp_path, capsys, text, fragment):
+    (tmp_path / "t.truth.csv").write_text(text)
+    assert main(["calibrate", "--alpha", "1", "--truth", str(tmp_path / "t.truth.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
 
 
 def test_calibrate_unreachable_target(capsys):
@@ -346,6 +406,13 @@ def test_calibrate_rejects_slopes_it_cannot_serve(argv, fragment, capsys):
     assert main(["calibrate", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and fragment in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["1e-16", "1e-300", "1e-320"])
+def test_calibrate_flat_links_stay_within_the_coin_flip_limit(alpha, capsys):
+    assert main(["calibrate", "--alpha", alpha, "--sigma-s", "1"]) == 0
+    got = _parse_calibrate(capsys.readouterr().out)
+    assert got["pe"] <= 0.5 and got["c1"] > 0
 
 
 def test_calibrate_near_coin_flip_target(capsys):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from rankreg import (
     ComparisonDataset,
-    CovarianceEstimate,
     DegreesOfFreedomError,
-    Estimate,
     LogisticLink,
     ModelSpec,
     RngStream,
@@ -38,8 +37,7 @@ from rankreg import (
 def _random_instance(seed, d=3, n=40, m=500):
     spec = ModelSpec(d, np.arange(1, d + 1, dtype=float), np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(2.0))
     samples = generate_samples(RngStream(seed), spec, n)
-    dataset = generate_comparisons(RngStream(seed + 1), spec, samples, m)
-    return samples, dataset, estimate_covariance(samples)
+    return samples, generate_comparisons(RngStream(seed + 1), spec, samples, m)
 
 
 # --- covariance ------------------------------------------------------------
@@ -50,17 +48,15 @@ def test_covariance_hand_computed_1d():
     # correction divisor 4 - 1 - 2 = 1
     features = np.array([[10.0], [11.0], [12.0], [13.0], [0.0], [2.0], [4.0], [6.0]])
     cov = estimate_covariance(SampleSet(4, features))
-    assert cov.mu_hat[0] == 3.0
-    assert cov.sigma_hat.entries[0, 0] == 20.0
-    assert math.isclose(cov.sigma_hat_inv[0, 0], 0.05, rel_tol=1e-14)
-    assert cov.dof_n == 4
+    assert cov.entries[0, 0] == 20.0
+    assert math.isclose(np.linalg.inv(cov.entries)[0, 0], 0.05, rel_tol=1e-14)
 
 
 def test_covariance_needs_spare_degrees_of_freedom():
     with pytest.raises(DegreesOfFreedomError):
         estimate_covariance(SampleSet(3, np.random.default_rng(0).normal(size=(6, 1))))
-    with pytest.raises(DegreesOfFreedomError):
-        CovarianceEstimate(SpdMatrix(np.eye(2)), 4, np.zeros(2))
+    with pytest.raises(DegreesOfFreedomError, match="N=4, d=2"):
+        estimate_covariance(SampleSet(4, np.random.default_rng(0).normal(size=(8, 2))))
 
 
 def test_covariance_constant_rows_are_singular():
@@ -70,7 +66,7 @@ def test_covariance_constant_rows_are_singular():
 
 
 def test_ill_conditioned_trial_reports_an_angle_and_never_builds_the_inverse():
-    # cond(sigma) ~ 1e10: the explicit inverse misses its 1e-8 residual check, but the estimate
+    # cond(sigma) ~ 1e10: an explicit inverse would miss a 1e-8 residual check, but the estimate
     # only needs the Cholesky solve, so the trial succeeds and reports its (poor) angle
     config = TrialConfig(d=10, n=1000, m=m_from_n(1000), lambda_min=1e-10, target_pe=0.0)
     result = run_trial(config, 0)
@@ -78,12 +74,10 @@ def test_ill_conditioned_trial_reports_an_angle_and_never_builds_the_inverse():
     stream = trial_stream(config, 0)
     model, _, _ = realize_model(stream, config.d, config.lambda_min, config.target_pe)
     samples, dataset = simulate(stream, model, config.n, config.m)
+    assert angle(estimate_beta(dataset, samples), model.beta) == result.angle
     cov = estimate_covariance(samples)
-    est = estimate_beta(dataset, samples, cov)
-    assert "sigma_hat_inv" not in vars(cov)
-    assert angle(est.beta_hat, model.beta) == result.angle
-    with pytest.raises(ValueError, match="not an inverse"):
-        cov.sigma_hat_inv
+    inv = cho_solve((cov.cholesky, True), np.eye(config.d))
+    assert np.abs((inv + inv.T) / 2 @ cov.entries - np.eye(config.d)).max() > 1e-8
 
 
 def test_covariance_uses_only_the_second_half():
@@ -92,8 +86,7 @@ def test_covariance_uses_only_the_second_half():
     scrambled[:20] = 99.0
     a = estimate_covariance(SampleSet(20, base))
     b = estimate_covariance(SampleSet(20, scrambled))
-    assert np.array_equal(a.sigma_hat.entries, b.sigma_hat.entries)
-    assert np.array_equal(a.mu_hat, b.mu_hat)
+    assert np.array_equal(a.entries, b.entries)
 
 
 def test_inverse_covariance_is_unbiased():
@@ -103,7 +96,7 @@ def test_inverse_covariance_is_unbiased():
     total = np.zeros((d, d))
     for t in range(trials):
         x = sample_gaussian(RngStream(900, t), np.zeros(d), sigma, 2 * n)
-        total += estimate_covariance(SampleSet(n, x)).sigma_hat_inv
+        total += np.linalg.inv(estimate_covariance(SampleSet(n, x)).entries)
     target = np.diag([0.5, 1.0, 2.0])
     relative = np.linalg.norm(total / trials - target) / np.linalg.norm(target)
     assert relative <= 0.05
@@ -113,60 +106,57 @@ def test_inverse_covariance_is_unbiased():
 
 
 def test_estimate_two_term_average_with_forced_identity():
-    features = np.zeros((10, 2))
+    # covariance half +-e1, +-e2, 0, 0: mean 0 and scatter 2 I, over N - d - 2 = 2, is exactly I
+    features = np.zeros((12, 2))
     features[0] = (1.0, 0.0)
     features[2] = (0.0, 1.0)
-    samples = SampleSet(5, features)
-    cov = CovarianceEstimate(SpdMatrix(np.eye(2)), 5, np.zeros(2))
-    dataset = ComparisonDataset(5, [0, 2], [1, 1], [1, -1])
-    est = estimate_beta(dataset, samples, cov)
-    assert np.array_equal(est.beta_hat, [0.5, -0.5])
-    assert est.m_used == 2 and est.n_used == 5
+    features[6:10] = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    samples = SampleSet(6, features)
+    assert np.array_equal(estimate_covariance(samples).entries, np.eye(2))
+    dataset = ComparisonDataset(6, [0, 2], [1, 1], [1, -1])
+    assert np.array_equal(estimate_beta(dataset, samples), [0.5, -0.5])
 
 
 def test_estimate_is_linear_in_labels():
-    samples, dataset, cov = _random_instance(10)
+    samples, dataset = _random_instance(10)
     flipped = ComparisonDataset(dataset.n, dataset.i, dataset.j, -dataset.y)
-    a = estimate_beta(dataset, samples, cov).beta_hat
-    b = estimate_beta(flipped, samples, cov).beta_hat
+    a = estimate_beta(dataset, samples)
+    b = estimate_beta(flipped, samples)
     assert np.array_equal(b, -a)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 1000))
 def test_estimate_ignores_comparison_order(seed):
-    samples, dataset, cov = _random_instance(20, m=200)
+    samples, dataset = _random_instance(20, m=200)
     order = np.random.default_rng(seed).permutation(dataset.m)
     shuffled = ComparisonDataset(dataset.n, dataset.i[order], dataset.j[order], dataset.y[order])
-    assert np.array_equal(
-        estimate_beta(shuffled, samples, cov).beta_hat,
-        estimate_beta(dataset, samples, cov).beta_hat,
-    )
+    assert np.array_equal(estimate_beta(shuffled, samples), estimate_beta(dataset, samples))
 
 
 def test_estimate_scale_equivariance():
-    samples, dataset, _ = _random_instance(30)
-    base = estimate_beta(dataset, samples, estimate_covariance(samples)).beta_hat
+    samples, dataset = _random_instance(30)
+    base = estimate_beta(dataset, samples)
 
     doubled = SampleSet(samples.n, samples.features * 2.0)
-    scaled = estimate_beta(dataset, doubled, estimate_covariance(doubled)).beta_hat
+    scaled = estimate_beta(dataset, doubled)
     assert np.array_equal(scaled, base / 2.0)  # power-of-two scaling is exact
 
     tripled = SampleSet(samples.n, samples.features * 3.0)
-    scaled = estimate_beta(dataset, tripled, estimate_covariance(tripled)).beta_hat
+    scaled = estimate_beta(dataset, tripled)
     assert np.linalg.norm(scaled - base / 3.0) <= 1e-10 * np.linalg.norm(base)
 
 
 def test_estimate_validates_inputs():
-    samples, dataset, cov = _random_instance(40)
+    samples, _ = _random_instance(40)
     small = ComparisonDataset(30, [0, 1], [2, 3], [1, -1])
     with pytest.raises(ValueError, match="rows"):
-        estimate_beta(small, samples, cov)
-    other = SampleSet(50, np.random.default_rng(3).normal(size=(100, 3)))
-    with pytest.raises(ValueError, match="N="):
-        estimate_beta(dataset, samples, estimate_covariance(other))
-    with pytest.raises(ValueError):
-        Estimate(np.array([1.0, np.nan]), 5, 5)
+        estimate_beta(small, samples)
+    # compared rows near 1e300 against a covariance near 1e-20: the whitened sum overflows
+    rng = np.random.default_rng(3)
+    huge = SampleSet(8, np.vstack([1e300 * rng.uniform(0.5, 1.0, (8, 2)), 1e-10 * rng.normal(size=(8, 2))]))
+    with pytest.raises(ValueError, match="beta_hat has non-finite entries"):
+        estimate_beta(ComparisonDataset(8, [0, 1], [2, 3], [1, -1]), huge)
 
 
 def test_estimator_mean_tracks_the_shrunk_weights():
@@ -183,7 +173,7 @@ def test_estimator_mean_tracks_the_shrunk_weights():
     for t in range(trials):
         samples = generate_samples(RngStream(1000, 2 * t), spec, n)
         dataset = generate_comparisons(RngStream(1000, 2 * t + 1), spec, samples, m)
-        draws[t] = estimate_beta(dataset, samples, estimate_covariance(samples)).beta_hat
+        draws[t] = estimate_beta(dataset, samples)
     pooled_se = draws.std(axis=0, ddof=1) / math.sqrt(trials)
     assert (np.abs(draws.mean(axis=0) - c1 * beta) <= 4 * pooled_se).all()
 
@@ -248,5 +238,5 @@ def test_angle_clamps_round_off():
 
 def test_estimate_csv_layout(tmp_path):
     path = tmp_path / "e.csv"
-    write_estimate_csv(Estimate(np.array([0.5, -1.25]), 12, 7), path)
+    write_estimate_csv(np.array([0.5, -1.25]), 7, 12, path)
     assert path.read_bytes() == b"n,m,beta_hat_1,beta_hat_2\n7,12,0.5,-1.25\n"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankreg import (
-    CovarianceSpec,
     RngStream,
     SpdMatrix,
     make_covariance,
@@ -70,12 +69,11 @@ def test_spd_validation():
 
 
 def test_covariance_spec_validation():
-    with pytest.raises(ValueError):
-        CovarianceSpec(0, 0.5, RngStream(0))
-    with pytest.raises(ValueError):
-        CovarianceSpec(3, 0.0, RngStream(0))
-    with pytest.raises(ValueError):
-        CovarianceSpec(3, 1.2, RngStream(0))
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+        make_covariance(RngStream(0), 0, 0.5)
+    for lambda_min in (0.0, 1.2, float("nan")):
+        with pytest.raises(ValueError, match=r"lambda_min must lie in \(0, 1\]"):
+            make_covariance(RngStream(0), 3, lambda_min)
 
 
 def test_basis_dim_one_is_a_sign():
@@ -100,17 +98,17 @@ def test_basis_entries_are_mean_zero():
 
 
 def test_covariance_identity_when_flat_spectrum():
-    sigma = make_covariance(CovarianceSpec(4, 1.0, RngStream(11)))
+    sigma = make_covariance(RngStream(11), 4, 1.0)
     assert np.allclose(sigma.entries, np.eye(4), atol=1e-12)
 
 
 def test_covariance_dim_one():
-    sigma = make_covariance(CovarianceSpec(1, 0.25, RngStream(3)))
+    sigma = make_covariance(RngStream(3), 1, 0.25)
     assert sigma.entries.shape == (1, 1) and sigma.entries[0, 0] == 0.25
 
 
 def test_covariance_spectrum_matches_requested():
-    sigma = make_covariance(CovarianceSpec(10, 1 / 200, RngStream(9)))
+    sigma = make_covariance(RngStream(9), 10, 1 / 200)
     got = np.sort(np.linalg.eigvalsh(sigma.entries))
     assert np.abs(got - np.linspace(0.005, 1.0, 10)).max() <= 1e-8
 
@@ -118,14 +116,14 @@ def test_covariance_spectrum_matches_requested():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 64), st.floats(1e-4, 1.0))
 def test_covariance_is_always_spd(seed, d, lambda_min):
-    sigma = make_covariance(CovarianceSpec(d, lambda_min, RngStream(seed)))
+    sigma = make_covariance(RngStream(seed), d, lambda_min)
     eigenvalues = np.linalg.eigvalsh(sigma.entries)
     assert eigenvalues.min() >= lambda_min - 1e-8
     assert eigenvalues.max() <= 1.0 + 1e-8
 
 
 def test_covariance_spd_at_large_dim():
-    sigma = make_covariance(CovarianceSpec(512, 0.005, RngStream(1)))
+    sigma = make_covariance(RngStream(1), 512, 0.005)
     assert sigma.dim == 512  # construction already validated SPD
 
 
@@ -157,7 +155,7 @@ def test_sample_gaussian_validation():
 
 
 def test_sample_covariance_min_eigenvalue_tracks_spectrum_floor():
-    sigma = make_covariance(CovarianceSpec(6, 0.3, RngStream(13)))
+    sigma = make_covariance(RngStream(13), 6, 0.3)
     x = sample_gaussian(RngStream(14), np.zeros(6), sigma, 1_000_000)
     eigenvalue = np.linalg.eigvalsh(np.cov(x, rowvar=False)).min()
     assert abs(eigenvalue - 0.3) <= 0.1 * 0.3
