@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .comparisons import DeterministicLink, LinkFunction, LogisticLink
+from .comparisons import DeterministicLink, LinkFunction, LogisticLink, _expit
 from .randomness import SpdMatrix
 
 
@@ -95,13 +94,17 @@ def _tau(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
 
 def estimate_c1(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
     """Shrinkage constant c1 = 4 E[f'(s)] = 8 int_0^inf f'(sigma_s u) phi(u) du for a
-    differentiable link; the returned value is strictly positive."""
+    differentiable link.  The returned value is strictly positive: a link so flat
+    that c1 underflows raises ValueError."""
     if isinstance(link, DeterministicLink):
         raise LinkNotDifferentiableError(
             "the sign link has no derivative; c1 (and the norm-error metric) is undefined at p_e = 0"
         )
     u, w = _half_line(_tau(link, law))
-    return 8.0 * float(w @ link.derivative(law.sigma_s * u))
+    c1 = 8.0 * float(w @ link.derivative(law.sigma_s * u))
+    if not c1 > 0:
+        raise ValueError(f"{link} at sigma_s = {law.sigma_s} is too flat: c1 underflows to {c1}")
+    return c1
 
 
 def estimate_pe(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
@@ -140,7 +143,7 @@ def solve_alpha_for_pe(target_pe: float, law: ScoreDifferenceLaw) -> float:
         tau = math.exp(x)
         u, w = _half_line(tau)
         t = tau * u
-        q = expit(-t)
+        q = _expit(-t)
         pe = 2.0 * float(w @ q)
         gap = math.log(pe) - goal
         if abs(gap) <= _PE_REL_TOL:

@@ -9,14 +9,24 @@ difference and exact ties are fair coin flips.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .randomness import RngStream, SpdMatrix, sample_gaussian
+
+
+def _expit(x):
+    """1 / (1 + exp(-x)); where exp(-x) overflows the result is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+# one Python call per element; no command draws probit labels on a hot path
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -30,7 +40,7 @@ class LogisticLink:
             raise ValueError(f"slope must be finite and > 0, got {self.slope}")
 
     def prob(self, x):
-        return expit(self.slope * np.asarray(x, dtype=float))
+        return _expit(self.slope * np.asarray(x, dtype=float))
 
     def derivative(self, x):
         # slope * f * (1 - f) in closed form; no cancellation at large |x|.
@@ -49,7 +59,7 @@ class ProbitLink:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     def prob(self, x):
-        return 0.5 * (1.0 + erf(self.scale * np.asarray(x, dtype=float)))
+        return 0.5 * (1.0 + _erf(self.scale * np.asarray(x, dtype=float)))
 
     def derivative(self, x):
         t = self.scale * np.asarray(x, dtype=float)

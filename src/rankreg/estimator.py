@@ -5,13 +5,12 @@ feature covariance with a degrees-of-freedom correction that makes the
 *inverse* estimate unbiased, and the first half supplies the compared
 feature rows.  The weight estimate is the label-weighted average of
 whitened feature differences, evaluated as one accumulated sum followed by
-one Cholesky solve: a forward and a back substitution.
+one d x d linear solve (``numpy.linalg.solve``, an LU factorization).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .comparisons import ComparisonDataset, SampleSet, _names, _write_csv
 from .randomness import SpdMatrix
@@ -53,7 +52,7 @@ def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
         dataset.j, weights=y, minlength=samples.n
     )
     accumulated = weights @ samples.comparison_half
-    beta_hat = cho_solve((estimate_covariance(samples).cholesky, True), accumulated) / dataset.m
+    beta_hat = np.linalg.solve(estimate_covariance(samples).entries, accumulated) / dataset.m
     if not np.isfinite(beta_hat).all():
         raise ValueError("beta_hat has non-finite entries")
     return beta_hat

@@ -24,6 +24,7 @@ from rankreg import (
     generate_comparisons,
     generate_samples,
     m_from_n,
+    make_covariance,
     norm_error,
     realize_model,
     run_trial,
@@ -67,7 +68,7 @@ def test_covariance_constant_rows_are_singular():
 
 def test_ill_conditioned_trial_reports_an_angle_and_never_builds_the_inverse():
     # cond(sigma) ~ 1e10: an explicit inverse would miss a 1e-8 residual check, but the estimate
-    # only needs the Cholesky solve, so the trial succeeds and reports its (poor) angle
+    # only needs one linear solve, so the trial succeeds and reports its (poor) angle
     config = TrialConfig(d=10, n=1000, m=m_from_n(1000), lambda_min=1e-10, target_pe=0.0)
     result = run_trial(config, 0)
     assert isinstance(result, TrialResult)
@@ -115,6 +116,24 @@ def test_estimate_two_term_average_with_forced_identity():
     assert np.array_equal(estimate_covariance(samples).entries, np.eye(2))
     dataset = ComparisonDataset(6, [0, 2], [1, 1], [1, -1])
     assert np.array_equal(estimate_beta(dataset, samples), [0.5, -0.5])
+
+
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("lambda_min", [1.0, 0.1])
+def test_estimate_matches_a_cholesky_solve(d, lambda_min):
+    stream = RngStream(31, d)
+    sigma = make_covariance(stream.child("sigma"), d, lambda_min)
+    spec = ModelSpec(d, np.ones(d), np.zeros(d), sigma, LogisticLink(1.0))
+    samples = generate_samples(stream.child("samples"), spec, 20 * d)
+    dataset = generate_comparisons(stream.child("comparisons"), spec, samples, 40 * d)
+    y = dataset.y.astype(float)
+    weights = np.bincount(dataset.i, weights=y, minlength=samples.n) - np.bincount(
+        dataset.j, weights=y, minlength=samples.n
+    )
+    accumulated = weights @ samples.comparison_half
+    expected = cho_solve((estimate_covariance(samples).cholesky, True), accumulated) / dataset.m
+    beta_hat = estimate_beta(dataset, samples)
+    assert np.linalg.norm(beta_hat - expected) <= 1e-13 * np.linalg.norm(beta_hat)
 
 
 def test_estimate_is_linear_in_labels():
