@@ -20,6 +20,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,16 +95,19 @@ def _tau(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
 
 def estimate_c1(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
     """Shrinkage constant c1 = 4 E[f'(s)] = 8 int_0^inf f'(sigma_s u) phi(u) du for a
-    differentiable link.  The returned value is strictly positive: a link so flat
-    that c1 underflows raises ValueError."""
+    differentiable link.  The returned value is a normal float: a link so flat
+    that c1 falls below sys.float_info.min, where the per-node products keep only
+    a few significant bits, raises ValueError."""
     if isinstance(link, DeterministicLink):
         raise LinkNotDifferentiableError(
             "the sign link has no derivative; c1 (and the norm-error metric) is undefined at p_e = 0"
         )
     u, w = _half_line(_tau(link, law))
     c1 = 8.0 * float(w @ link.derivative(law.sigma_s * u))
-    if not c1 > 0:
-        raise ValueError(f"{link} at sigma_s = {law.sigma_s} is too flat: c1 underflows to {c1}")
+    if not c1 >= sys.float_info.min:
+        raise ValueError(
+            f"{link} at sigma_s = {law.sigma_s} is too flat: c1 underflows to {c1}, below the smallest normal float"
+        )
     return c1
 
 

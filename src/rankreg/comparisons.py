@@ -10,6 +10,9 @@ difference and exact ties are fair coin flips.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -222,24 +225,82 @@ def _field(value) -> str:
     return "" if value is None else str(value)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork or tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(f, rows, start: int, stop: int) -> None:
+    for lo in range(start, stop, _BLOCK_ROWS):
+        block = rows[lo : min(lo + _BLOCK_ROWS, stop)]
+        if isinstance(block, np.ndarray):
+            line = ",".join(["%r"] * block.shape[1]) + "\n"
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
+        else:
+            f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
+
+
 def _write_csv(path, header, rows) -> None:
     """Write a header line and ``rows`` (a 2-d array, a sequence of rows, or any sized
     object whose slices are one of these), each ending in "\\n".
 
-    None is written as an empty field.  Rows are formatted in blocks, so a large
-    array never exists in memory as one list of Python numbers or one string.
-    An array block is formatted by one %-template: %r of a Python int or float
-    is the same text as its str.
+    None is written as an empty field.  Rows are formatted in blocks of
+    ``_BLOCK_ROWS``, so a large array never exists in memory as one list of
+    Python numbers or one string.  An array block is formatted by one
+    %-template: %r of a Python int or float is the same text as its str.
+
+    A table of more than one block is split at block boundaries into
+    ``min(available CPUs, blocks)`` contiguous row ranges.  This process writes
+    the header and the first range; each later range is formatted by a forked
+    child into an anonymous temporary file in the target's directory and
+    appended in order.  Each row's text depends only on the row, so the file is
+    byte-identical to a single-process write.  A child that fails raises
+    OSError naming ``path``.
     """
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            if isinstance(block, np.ndarray):
-                line = ",".join(["%r"] * block.shape[1]) + "\n"
-                f.write(line * len(block) % tuple(block.ravel().tolist()))
-            else:
-                f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
+    blocks = -(-len(rows) // _BLOCK_ROWS)
+    parts = max(1, min(_cpu_count(), blocks))
+    cuts = [min(len(rows), k * blocks // parts * _BLOCK_ROWS) for k in range(parts + 1)]
+    outs, pids = [], []  # one temporary file per child; pids not yet reaped, in range order
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            out = tempfile.TemporaryFile("w+", newline="", dir=os.path.dirname(os.path.abspath(path)))
+            outs.append(out)
+            # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no
+            # lock, and leaves by os._exit without flushing this process's buffers.
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    _write_rows(out, rows, lo, hi)
+                    out.flush()
+                    code = 0
+                except Exception as exc:
+                    os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        with open(path, "w", newline="") as f:
+            f.write(",".join(header) + "\n")
+            _write_rows(f, rows, 0, cuts[1])
+            for out in outs:
+                status = os.waitpid(pids[0], 0)[1]
+                pid = pids.pop(0)
+                if status:
+                    raise OSError(f"{path}: writer process {pid} exited with status {os.waitstatus_to_exitcode(status)}")
+                out.seek(0)
+                shutil.copyfileobj(out, f)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for out in outs:
+            out.close()
+
+
+def _count_lines(path) -> int:
+    with open(path, "rb") as f:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 20), b""))
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:
@@ -259,20 +320,29 @@ def _read_csv(path, header, dtype) -> np.ndarray:
                 raise CsvFormatError(f"{path}:{lineno}: blank line")
             yield line
 
-    with open(path) as f:
+    with open(path) as f, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
         names = f.readline().rstrip("\n").split(",")
         expected = header(len(names))
         if names != expected:
             raise CsvFormatError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
+        # Parse the open file directly first (not its text: loadtxt then holds only
+        # the parsed array).  loadtxt skips blank lines, so a result is kept only
+        # if it has one row per "\n"-terminated body line; anything else is
+        # parsed again line by line, which finds and names the offending line.
+        body_start = f.tell()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
-                # the open file, not its text: loadtxt then holds only the parsed array
+            rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is None or len(rows) != _count_lines(path) - 1:
+            f.seek(body_start)
+            try:
                 rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
-        except CsvFormatError:
-            raise
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+            except CsvFormatError:
+                raise
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
     if not rows.size:
         return rows.reshape(0, len(names))
     if rows.shape[1] != len(names):

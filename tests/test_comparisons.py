@@ -1,7 +1,9 @@
 """Tests for link functions, comparison generation, and the CSV formats."""
 
 import math
+import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +29,9 @@ from rankreg import (
     write_comparisons_csv,
     write_samples_csv,
 )
+from rankreg import comparisons
 from rankreg.cli import main
-from rankreg.comparisons import _erf, _expit
+from rankreg.comparisons import _OneBasedTriples, _erf, _expit, _write_csv
 
 finite_x = st.floats(-30.0, 30.0)
 
@@ -252,6 +255,71 @@ def test_comparisons_csv_spanning_several_write_blocks(tmp_path):
     write_comparisons_csv(ComparisonDataset(1000, i, j, y), path)
     expected = "i,j,y\n" + "".join(f"{a + 1},{b + 1},{c}\n" for a, b, c in zip(i, j, y))
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+def test_parallel_write_matches_a_one_process_reference(tmp_path, monkeypatch, parts, count):
+    rng = np.random.default_rng(count)
+    features = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-320, 300, size=(count, 3))
+    features[:2, 0] = [-0.0, 5e-324][:count]
+    i, j = rng.integers(0, 1000, size=(2, count))
+    y = rng.choice([-1, 1], size=count)
+    tables = {
+        "array": (features, "".join(",".join(map(str, row)) + "\n" for row in features.tolist())),
+        "triples": (
+            _OneBasedTriples(SimpleNamespace(i=i, j=j, y=y)),
+            "".join(f"{a + 1},{b + 1},{c}\n" for a, b, c in zip(i.tolist(), j.tolist(), y.tolist())),
+        ),
+    }
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
+    monkeypatch.setattr(os, "fork", fork)
+    for name, (rows, body) in tables.items():
+        path = tmp_path / f"{name}.csv"
+        _write_csv(path, ["a", "b", "c"], rows)
+        assert path.read_text() == "a,b,c\n" + body
+    blocks = -(-count // 8192)
+    assert len(forks) == 2 * (min(parts, max(blocks, 1)) - 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["array.csv", "triples.csv"]
+
+
+def test_parallel_write_reports_a_failed_child_and_reaps_it(tmp_path, monkeypatch, capfd):
+    parent_pid = os.getpid()
+    real_write_rows = comparisons._write_rows
+
+    def write_rows(f, rows, start, stop):
+        if os.getpid() != parent_pid:
+            raise OSError("injected child fault")
+        real_write_rows(f, rows, start, stop)
+
+    # three parts: the first child's failure is raised while the second is still unreaped
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(comparisons, "_write_rows", write_rows)
+    path = tmp_path / "s.csv"
+    with pytest.raises(OSError, match=f"{path}: writer process"):
+        _write_csv(path, ["x_1"], np.zeros((3 * 8192, 1)))
+    assert "injected child fault" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_tables_of_one_block_never_fork(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("forked for a table of one block")
+
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", fork)
+    write_samples_csv(SampleSet(4096, np.ones((8192, 2))), tmp_path / "s.csv")
+    _write_csv(tmp_path / "t.csv", ["a", "b"], [[1.5, None]])
+    assert read_samples_csv(tmp_path / "s.csv").n == 4096
+    assert (tmp_path / "t.csv").read_text() == "a,b\n1.5,\n"
 
 
 @pytest.mark.parametrize(
