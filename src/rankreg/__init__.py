@@ -20,7 +20,6 @@ from .comparisons import (
     LinkFunction,
     LogisticLink,
     ModelSpec,
-    ProbitLink,
     SampleSet,
     flip_fraction,
     generate_comparisons,
@@ -73,9 +72,8 @@ __all__ = [
     "DegenerateModelError", "LinkNotDifferentiableError", "ScoreDifferenceLaw", "estimate_c1",
     "estimate_pe", "solve_alpha_for_pe",
     "ComparisonDataset", "CsvFormatError", "DeterministicLink", "LinkFunction", "LogisticLink",
-    "ModelSpec", "ProbitLink", "SampleSet", "flip_fraction", "generate_comparisons",
-    "generate_samples", "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv",
-    "write_samples_csv",
+    "ModelSpec", "SampleSet", "flip_fraction", "generate_comparisons", "generate_samples",
+    "read_comparisons_csv", "read_samples_csv", "write_comparisons_csv", "write_samples_csv",
     "DegreesOfFreedomError", "angle", "estimate_beta", "estimate_covariance", "norm_error",
     "write_estimate_csv",
     "AGG_HEADER", "TRIALS_HEADER", "ConfigError", "GridAggregate", "SweepResult", "SweepSpec",

@@ -13,8 +13,8 @@ links, and each piece gets a 24-node Gauss-Legendre rule.  The rule thus
 follows the link from tau = 1e-6 to 1e307 at a relative error near 1e-15.
 
 The inverse problem, the logistic slope for a target p_e, is Newton's method
-on log p_e against log tau inside a shrinking bracket, started at the probit
-closed form.
+on log p_e against log tau inside a shrinking bracket, started at the root for
+the probit approximation of the logistic link.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _half_line(tau: float):
     return u, (half * _WEIGHTS).ravel() * np.exp(-0.5 * u * u)
 
 
-def _tau(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
+def _tau(link: LogisticLink, law: ScoreDifferenceLaw) -> float:
     """The link's steepness in units of the score difference's deviation."""
-    tau = (link.slope if isinstance(link, LogisticLink) else link.scale) * law.sigma_s
+    tau = link.slope * law.sigma_s
     if not tau < math.inf:
         raise ValueError(f"{link} at sigma_s = {law.sigma_s} is steeper than a float can hold")
     return tau
@@ -129,12 +129,13 @@ def solve_alpha_for_pe(target_pe: float, law: ScoreDifferenceLaw) -> float:
     """Logistic slope whose error rate matches ``target_pe`` to 1e-12 relative.
 
     Solves log p_e(tau) = log target_pe for x = log tau, tau = alpha * sigma_s,
-    by Newton's method from the probit closed form tau_0 = 1.702 / tan(pi p_e),
-    which is within 7% of the root.  p_e falls as tau grows, so each iterate
-    narrows a bracket on the root, and a step that leaves it is replaced by
-    bisection.  Targets of 0 or 1/2 are rejected: zero noise is the sign link,
-    not a finite slope, and 1/2 is the coin-flip limit.  Below about 1e-308,
-    or when tau / sigma_s would overflow a float, that raises ValueError too.
+    by Newton's method from tau_0 = 1.702 / tan(pi p_e), which is exact for the
+    probit approximation expit(t) ~ Phi(t / 1.702) and within 7% of the root.
+    p_e falls as tau grows, so each iterate narrows a bracket on the root, and a
+    step that leaves it is replaced by bisection.  Targets of 0 or 1/2 are
+    rejected: zero noise is the sign link, not a finite slope, and 1/2 is the
+    coin-flip limit.  Below about 1e-308, or when tau / sigma_s would overflow a
+    float, that raises ValueError too.
     """
     if not 0 < target_pe < 0.5:
         raise ValueError(f"target_pe must lie in (0, 1/2), got {target_pe}")

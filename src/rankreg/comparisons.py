@@ -2,14 +2,12 @@
 
 A link function maps the score difference of two samples to the probability
 that the first wins the comparison.  The logistic link gives Bradley-Terry
-label noise, the probit link gives Thurstone noise, and the deterministic
-link is the zero-noise limit where labels follow the sign of the score
-difference and exact ties are fair coin flips.
+label noise, and the deterministic link is its zero-noise limit, where labels
+follow the sign of the score difference and exact ties are fair coin flips.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 import tempfile
@@ -26,10 +24,6 @@ def _expit(x):
     """1 / (1 + exp(-x)); where exp(-x) overflows the result is exactly 0."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-# one Python call per element; no command draws probit labels on a hot path
-_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -52,24 +46,6 @@ class LogisticLink:
 
 
 @dataclass(frozen=True)
-class ProbitLink:
-    """P(win) = (1 + erf(scale * x)) / 2."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
-
-    def prob(self, x):
-        return 0.5 * (1.0 + _erf(self.scale * np.asarray(x, dtype=float)))
-
-    def derivative(self, x):
-        t = self.scale * np.asarray(x, dtype=float)
-        return self.scale * np.exp(-t * t) / np.sqrt(np.pi)
-
-
-@dataclass(frozen=True)
 class DeterministicLink:
     """Noiseless limit: P(win) is 1, 0, or 1/2 by the sign of the score difference."""
 
@@ -78,7 +54,7 @@ class DeterministicLink:
         return np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5))
 
 
-LinkFunction = Union[LogisticLink, ProbitLink, DeterministicLink]
+LinkFunction = Union[LogisticLink, DeterministicLink]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +245,7 @@ def _write_csv(path, header, rows) -> None:
             outs.append(out)
             # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no
             # lock, and leaves by os._exit without flushing this process's buffers.
+            # Python >= 3.12 warns (DeprecationWarning) at a fork while such threads run.
             pid = os.fork()
             if pid == 0:
                 code = 1
@@ -342,7 +319,8 @@ def _read_csv(path, header, dtype) -> np.ndarray:
             except CsvFormatError:
                 raise
             except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+                # numpy's own "at row ..." counts body rows from another origin
+                raise CsvFormatError(f"{path}:{lineno}: {str(exc).partition(' at row ')[0]}") from exc
     if not rows.size:
         return rows.reshape(0, len(names))
     if rows.shape[1] != len(names):

@@ -119,14 +119,12 @@ def make_covariance(rng: RngStream, d: int, lambda_min: float) -> SpdMatrix:
 
     Eigenvalues are linearly spaced over ``[lambda_min, 1]`` (both endpoints
     included for d >= 2); the eigenvectors Q are a random orthonormal basis
-    drawn from ``rng``, which a 1 x 1 covariance does not read.
+    drawn from ``rng``.
     """
     if d < 1:
         raise ValueError(f"dim must be >= 1, got {d}")
     if not 0 < lambda_min <= 1:
         raise ValueError(f"lambda_min must lie in (0, 1], got {lambda_min}")
-    if d == 1:
-        return SpdMatrix(np.array([[lambda_min]]))
     eigenvalues = np.linspace(lambda_min, 1.0, d)
     q = make_orthonormal_basis(rng, d)
     sigma = (q * eigenvalues) @ q.T

@@ -2,9 +2,11 @@
 
 Oracles: adaptive ``scipy.integrate.quad`` over the whole half line for the
 logistic constants, Monte Carlo integration for the logistic shrinkage
-constant, a closed-form Gaussian-times-Gaussian integral for the probit one,
-the bivariate-normal orthant formula for the probit error rate, and the
-steep-link expansion p_e = 2 ln 2 phi(0) / (alpha sigma_s) for tiny targets.
+constant, and the steep-link expansion p_e = 2 ln 2 phi(0) / (alpha sigma_s)
+for tiny targets.  The half-line rule itself is also checked without ``quad``:
+fed a probit integrand defined here, it must give that link's closed forms, a
+Gaussian-times-Gaussian integral for c1 and the bivariate-normal orthant
+probability for p_e.
 """
 
 import math
@@ -13,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import expit
+from scipy.special import erfc, expit
 
 from rankreg import (
     DegenerateModelError,
@@ -21,7 +23,6 @@ from rankreg import (
     LinkNotDifferentiableError,
     LogisticLink,
     ModelSpec,
-    ProbitLink,
     RngStream,
     ScoreDifferenceLaw,
     SpdMatrix,
@@ -33,6 +34,7 @@ from rankreg import (
     sample_gaussian,
     solve_alpha_for_pe,
 )
+from rankreg.calibration import _half_line
 
 
 def _quad_mean(g, alpha, sigma_s):
@@ -74,9 +76,9 @@ def _probit_c1(scale, sigma_s):
 
 
 def _probit_pe(scale, sigma_s):
-    # orthant probability of the bivariate normal (Z - sqrt(2)*scale*S, S)
-    rho = math.sqrt(2) * scale * sigma_s / math.sqrt(1 + 2 * scale**2 * sigma_s**2)
-    return 0.5 - math.asin(rho) / math.pi
+    # orthant probability of the bivariate normal (Z - sqrt(2)*scale*S, S),
+    # 1/2 - asin(rho) / pi, written without its cancellation as rho -> 1
+    return math.atan(1.0 / (math.sqrt(2) * scale * sigma_s)) / math.pi
 
 
 # --- score law -------------------------------------------------------------
@@ -130,13 +132,7 @@ def test_c1_matches_monte_carlo():
     assert abs(estimate_c1(link, LAW_1) - oracle) <= 0.005 * oracle
 
 
-@pytest.mark.parametrize("scale,sigma_s", [(1.0, 1.0), (2.0, 0.8), (0.7, 3.0)])
-def test_c1_matches_probit_closed_form(scale, sigma_s):
-    got = estimate_c1(ProbitLink(scale), ScoreDifferenceLaw(sigma_s))
-    assert math.isclose(got, _probit_c1(scale, sigma_s), rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("link", [LogisticLink(1.0), ProbitLink(1.0)])
+@pytest.mark.parametrize("link", [LogisticLink(1.0)])
 def test_c1_quadrature_is_converged(link):
     oracle = 4.0 * _quad_mean(link.derivative, 1.0, 1.0)
     assert abs(estimate_c1(link, LAW_1) - oracle) <= 1e-12 * oracle
@@ -148,6 +144,24 @@ def test_c1_matches_quad_reference(tau, sigma_s):
     alpha = tau / sigma_s
     oracle = _quad_c1(alpha, sigma_s)
     assert math.isclose(estimate_c1(LogisticLink(alpha), ScoreDifferenceLaw(sigma_s)), oracle, rel_tol=1e-12)
+
+
+# tau = scale * sigma_s runs over 1e-3, 0.8, 1, 1.6, 2.1, 1e3 and 1e6
+PROBIT_CASES = [(1e-3, 1.0), (0.4, 2.0), (1.0, 1.0), (2.0, 0.8), (0.7, 3.0), (2e3, 0.5), (1e6, 1.0)]
+
+
+def _probit_on_half_line(scale, sigma_s):
+    # the probit link f(s) = erfc(-scale s) / 2 at s = sigma_s u: nodes, weights and t = scale s
+    u, w = _half_line(scale * sigma_s)
+    return w, scale * sigma_s * u
+
+
+@pytest.mark.parametrize("scale,sigma_s", PROBIT_CASES)
+def test_c1_matches_probit_closed_form(scale, sigma_s):
+    # the half-line rule alone, fed the probit derivative, meets the closed form
+    w, t = _probit_on_half_line(scale, sigma_s)
+    c1 = 8.0 * float(w @ (scale * np.exp(-t * t) / math.sqrt(math.pi)))
+    assert math.isclose(c1, _probit_c1(scale, sigma_s), rel_tol=1e-12)
 
 
 # --- pe --------------------------------------------------------------------
@@ -169,10 +183,12 @@ def test_pe_sign_link_is_zero_noise():
     assert estimate_pe(DeterministicLink(), LAW_1) == 0.0
 
 
-@pytest.mark.parametrize("scale,sigma_s", [(1.0, 1.0), (2.0, 0.8), (0.7, 3.0)])
+@pytest.mark.parametrize("scale,sigma_s", PROBIT_CASES)
 def test_pe_matches_probit_closed_form(scale, sigma_s):
-    got = estimate_pe(ProbitLink(scale), ScoreDifferenceLaw(sigma_s))
-    assert math.isclose(got, _probit_pe(scale, sigma_s), rel_tol=1e-12)
+    # the half-line rule alone, fed the probit flip probability f(-|s|), meets the closed form
+    w, t = _probit_on_half_line(scale, sigma_s)
+    pe = 2.0 * float(w @ (0.5 * erfc(t)))
+    assert math.isclose(pe, _probit_pe(scale, sigma_s), rel_tol=1e-12)
 
 
 def test_pe_matches_empirical_flip_fraction():

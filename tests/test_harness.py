@@ -11,6 +11,7 @@ from rankreg import (
     AGG_HEADER,
     ConfigError,
     GridAggregate,
+    RngStream,
     SweepSpec,
     TRIALS_HEADER,
     TrialConfig,
@@ -18,14 +19,18 @@ from rankreg import (
     TrialFailure,
     TrialResult,
     find_min_n,
+    flip_fraction,
     m_from_n,
     read_min_n_config,
     read_sweep_config,
+    realize_model,
     run_sweep,
     run_trial,
+    simulate,
     trial_stream,
     write_results,
 )
+from rankreg.comparisons import _expit
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
 INJECTED = "injected calibration failure"
@@ -146,6 +151,21 @@ def test_more_samples_tighten_the_angle():
         return float(np.median([run_trial(config, rep).angle for rep in range(10)]))
 
     assert median_angle(500) < median_angle(50)
+
+
+@pytest.mark.parametrize("target_pe", [0.05, 0.2, 0.4])
+def test_realized_flip_rate_tracks_the_target(target_pe):
+    # Comparisons share the n rows, so the binomial variance alone is too
+    # narrow: the rows add 4 Var(h) / n, h(x_r) being row r's flip rate
+    # against the whole comparison half.  Margins checked on 120 other seeds.
+    n, m = 2000, 20_000
+    stream = RngStream(31).child("flip-rate", repr(target_pe))
+    model, alpha, _ = realize_model(stream, 10, 0.1, target_pe)
+    samples, dataset = simulate(stream, model, n, m)
+    s = samples.comparison_half @ model.beta
+    h = _expit(-alpha * np.abs(s[:, None] - s)).mean(axis=1)
+    se = math.sqrt(target_pe * (1 - target_pe) / m + 4 * h.var(ddof=1) / n)
+    assert abs(flip_fraction(dataset, model, samples) - target_pe) <= 4 * se
 
 
 def test_trial_failure_is_wrapped_with_its_origin(monkeypatch):
