@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    except (ValueError, OSError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,6 +83,12 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """Trials at ``base`` with ``swept_parameter`` set to each grid value in turn.
+
+    Under m_rule ``fixed`` every grid point keeps ``base.m`` (an m-sweep takes its m from the grid).
+    Under ``n_log_n``, the default, ``base.m`` is replaced by ceil(n ln n) at every grid point.
+    """
+
     base: TrialConfig
     swept_parameter: str
     grid: tuple
@@ -113,18 +119,6 @@ class TrialResult:
     angle: float
     c1_used: Optional[float]
     wall_time_seconds: float
-
-    def __post_init__(self):
-        if not 0 <= self.angle <= math.pi:
-            raise ValueError(f"angle must lie in [0, pi], got {self.angle}")
-        if (self.norm_error is None) != (self.c1_used is None):
-            raise ValueError("norm_error and c1_used must be absent together (noiseless runs)")
-        if self.norm_error is not None and not self.norm_error >= 0:
-            raise ValueError(f"norm_error must be >= 0, got {self.norm_error}")
-        if self.c1_used is not None and not self.c1_used > 0:
-            raise ValueError(f"c1_used must be > 0, got {self.c1_used}")
-        if not self.wall_time_seconds >= 0:
-            raise ValueError(f"wall_time_seconds must be >= 0, got {self.wall_time_seconds}")
 
 
 @dataclass(frozen=True)
@@ -328,8 +322,7 @@ def _choice(options: tuple):
 
 
 _BASE_KEYS = {"d": int, "lambda_min": float, "target_pe": float, "repetitions": int, "master_seed": int}
-_SWEEP_KEYS = _BASE_KEYS | {"n": int, "m": int, "grid": str,
-                            "swept_parameter": _choice(SWEEPABLE), "m_rule": _choice(M_RULES)}
+_SWEEP_KEYS = _BASE_KEYS | {"n": int, "m": int, "grid": str, "swept_parameter": _choice(SWEEPABLE)}
 _MIN_N_KEYS = _BASE_KEYS | {"n_grid": str, "angle_threshold": lambda text: _angle_threshold(float(text))}
 
 
@@ -360,21 +353,22 @@ def _read_config(path, converters: dict, required: tuple) -> dict:
 
 def _sweep_spec(path, values: dict) -> SweepSpec:
     """The sweep of a parsed config; a value the sweep rejects raises ConfigError naming the file."""
-    swept = values["swept_parameter"]
-    m_rule = values.get("m_rule", "fixed" if swept == "m" else "n_log_n")
-    if swept != "n" and "n" not in values:
-        raise ConfigError(f"{path}: missing required key 'n'")
-    if m_rule == "fixed" and swept != "m" and "m" not in values:
-        raise ConfigError(f"{path}: m_rule=fixed needs an explicit m key")
+    swept, grid_text = values.pop("swept_parameter"), values.pop("grid")
+    if swept in values:
+        raise ConfigError(f"{path}: {swept!r} is the swept parameter, so its values go in grid only")
+    for key in ("d", "n"):
+        if key != swept and key not in values:
+            raise ConfigError(f"{path}: missing required key {key!r}")
     try:
-        grid = tuple(map(_SWEEP_KEYS[swept], values["grid"].split(",")))
+        grid = tuple(map(_SWEEP_KEYS[swept], grid_text.split(",")))
     except ValueError as exc:
         raise ConfigError(f"{path}: bad grid entry: {exc}") from exc
+    m_rule = "fixed" if "m" in values or swept == "m" else "n_log_n"
     try:
-        n = values.get("n", grid[0])
-        m = values.get("m", grid[0] if swept == "m" else m_from_n(n))
-        base = {"lambda_min": 1.0, "target_pe": 0.0} | {key: values[key] for key in _BASE_KEYS if key in values}
-        return SweepSpec(TrialConfig(n=n, m=m, **base), swept, grid, m_rule)
+        base = {"lambda_min": 1.0, "target_pe": 0.0, swept: grid[0]} | values
+        if m_rule == "n_log_n":
+            base["m"] = m_from_n(base["n"])
+        return SweepSpec(TrialConfig(**base), swept, grid, m_rule)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -382,19 +376,20 @@ def _sweep_spec(path, values: dict) -> SweepSpec:
 def read_sweep_config(path) -> SweepSpec:
     """Parse a key=value config into a SweepSpec.
 
-    Required keys: d, swept_parameter, grid, and n unless n is swept (the base n is then the first grid value).
-    m_rule defaults to n_log_n except for m-sweeps, where it must be fixed; fixed m-rules take m as the base.
+    Required keys: swept_parameter, grid, and d and n unless swept.  The swept parameter is stated in grid
+    only; stating it as its own key too is an error.  The budget is the m key or the m grid when either is
+    given (m_rule fixed), and m = ceil(n ln n) at every grid point otherwise (n_log_n).
     """
-    return _sweep_spec(path, _read_config(path, _SWEEP_KEYS, ("d", "swept_parameter", "grid")))
+    return _sweep_spec(path, _read_config(path, _SWEEP_KEYS, ("swept_parameter", "grid")))
 
 
 def read_min_n_config(path) -> tuple[SweepSpec, float]:
     """Parse a key=value config into the n-sweep and angle threshold of ``find_min_n``.
 
     Required keys: d, n_grid; angle_threshold defaults to 0.3.  The sweep runs over n = n_grid with
-    m = ceil(n ln n), so n, m, m_rule, swept_parameter and grid are not keys here.
+    m = ceil(n ln n), so n, m, swept_parameter and grid are not keys here.
     """
-    values = _read_config(path, _MIN_N_KEYS, ("d", "n_grid"))
+    values = _read_config(path, _MIN_N_KEYS, ("n_grid",))
     threshold = values.pop("angle_threshold", 0.3)
-    values |= {"grid": values.pop("n_grid"), "swept_parameter": "n"}  # m_rule defaults to n_log_n
+    values |= {"grid": values.pop("n_grid"), "swept_parameter": "n"}
     return _sweep_spec(path, values), threshold

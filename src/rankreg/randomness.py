@@ -140,8 +140,9 @@ def sample_gaussian(rng: RngStream, mu: np.ndarray, sigma: SpdMatrix, count: int
         raise ValueError(f"count must be >= 1, got {count}")
     if mu.shape != (sigma.dim,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({sigma.dim},)")
-    z = rng.generator().standard_normal((count, sigma.dim))
-    return mu + z @ sigma.cholesky.T
+    x = rng.generator().standard_normal((count, sigma.dim)) @ sigma.cholesky.T
+    x += mu
+    return x
 
 
 def sample_ground_truth(rng: RngStream, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -293,6 +293,25 @@ def test_estimate_needs_enough_covariance_rows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_estimate_reports_a_singular_covariance_half(tmp_path, capsys):
+    out = _generate(tmp_path, d=2, n=10, m=5)
+    path = out.with_suffix(".samples.csv")
+    lines = path.read_text().splitlines()
+    lines[11:] = [lines[11]] * 10  # the covariance half: sample rows n + 1 ... 2n, all identical
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "estimate",
+            "--samples", str(path),
+            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "bh.csv").exists()
+
+
 def test_estimate_missing_file(tmp_path, capsys):
     rc = main(
         [

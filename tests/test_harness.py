@@ -177,17 +177,6 @@ def test_trial_failure_is_wrapped_with_its_origin(monkeypatch):
     assert excinfo.value.repetition_index == 3
 
 
-def test_trial_result_validation():
-    with pytest.raises(ValueError):
-        TrialResult(BASE, 0, None, 4.0, None, 0.1)  # angle out of range
-    with pytest.raises(ValueError):
-        TrialResult(BASE, 0, 1.0, 0.5, None, 0.1)  # error without its constant
-    with pytest.raises(ValueError):
-        TrialResult(BASE, 0, None, 0.5, 0.8, 0.1)
-    with pytest.raises(ValueError):
-        TrialResult(BASE, 0, 1.0, 0.5, 0.8, -0.1)
-
-
 # --- sweeps ----------------------------------------------------------------
 
 
@@ -395,12 +384,10 @@ def test_read_sweep_config_full(tmp_path):
             tmp_path,
             """
             # dimension sweep at a fixed budget
-            d = 2
             n = 100
             m = 500        # trailing comment
             swept_parameter = d
             grid = 2, 4, 8
-            m_rule = fixed
             lambda_min = 0.25
             target_pe = 0.3
             repetitions = 4
@@ -446,20 +433,36 @@ def test_read_sweep_config_lambda_grid_is_float(tmp_path):
         ("swept_parameter = n\ngrid = 30\n", "missing required key 'd'"),
         ("d = 2\ngrid = 30\n", "missing required key 'swept_parameter'"),
         ("d = 2\nswept_parameter = n\n", "missing required key 'grid'"),
-        ("d = 2\nswept_parameter = d\ngrid = 2, 4\n", "missing required key 'n'"),
-        ("d = 2\nn = 50\nswept_parameter = d\ngrid = 2, 4\nm_rule = fixed\n", "explicit m key"),
-        ("d = 2\nn = 50\nswept_parameter = n\ngrid = 60, 30\n", "strictly increasing"),
+        ("swept_parameter = d\ngrid = 2, 4\n", "missing required key 'n'"),
+        ("d = 2\nswept_parameter = n\ngrid = 60, 30\n", "strictly increasing"),
         ("d = 8\nswept_parameter = n\ngrid = 5, 500\n", "must exceed d + 2"),
         ("d = 2\nswept_parameter = n\ngrid = 30\nn_grid = 30\n", ":4: unknown key"),
         ("d = 2\nswept_parameter = n\ngrid = 30\nangle_threshold = 0.3\n", ":4: unknown key"),
-        ("d = 2\nn = 0\nswept_parameter = d\ngrid = 2, 4\n", "sweep.cfg: n must be >= 1, got 0"),
+        ("n = 0\nswept_parameter = d\ngrid = 2, 4\n", "sweep.cfg: n must be >= 1, got 0"),
         ("d = 2\nswept_parameter = n\ngrid = 0, 50\n", "sweep.cfg: n must be >= 1, got 0"),
+        ("d = 2\nm = 500\nm_rule = fixed\nswept_parameter = n\ngrid = 50\n", ":3: unknown key 'm_rule'"),
+        ("d = 2\nn = 50\nswept_parameter = n\ngrid = 60, 90\n", "sweep.cfg: 'n' is the swept parameter"),
+        ("d = 2\nn = 50\nm = 300\nswept_parameter = m\ngrid = 100, 200\n", "sweep.cfg: 'm' is the swept parameter"),
+        ("d = 2\nn = 50\nswept_parameter = d\ngrid = 2, 4\n", "sweep.cfg: 'd' is the swept parameter"),
+        ("d = 2\nn = 50\nlambda_min = 0.5\nswept_parameter = lambda_min\ngrid = 0.1, 1.0\n",
+         "sweep.cfg: 'lambda_min' is the swept parameter"),
     ],
 )
 def test_read_sweep_config_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as excinfo:
         read_sweep_config(_config(tmp_path, text))
     assert fragment in str(excinfo.value)
+
+
+def test_read_sweep_config_uses_a_stated_m_at_every_grid_point(tmp_path):
+    spec = read_sweep_config(_config(tmp_path, "d = 2\nm = 500\nswept_parameter = n\ngrid = 50, 100\n"))
+    assert spec.m_rule == "fixed" and [(c.n, c.m) for c in spec.configs()] == [(50, 500), (100, 500)]
+
+
+def test_read_sweep_config_d_sweep_needs_no_d_key(tmp_path):
+    spec = read_sweep_config(_config(tmp_path, "n = 50\nswept_parameter = d\ngrid = 2, 4\n"))
+    assert spec.base.d == spec.grid[0] == 2
+    assert [c.d for c in spec.configs()] == [2, 4]
 
 
 def test_read_min_n_config(tmp_path):

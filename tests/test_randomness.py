@@ -1,6 +1,7 @@
 """Tests for stream reproducibility, covariance construction, and Gaussian sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ def test_sample_gaussian_validation():
         sample_gaussian(RngStream(0), np.zeros(3), sigma, 4)
     with pytest.raises(ValueError):
         sample_gaussian(RngStream(0), np.zeros(2), sigma, 0)
+
+
+def test_sample_gaussian_allocates_at_most_one_array_beyond_its_result():
+    sigma, mu = make_covariance(RngStream(5), 20, 0.5), np.ones(20)
+    tracemalloc.start()
+    try:
+        x = sample_gaussian(RngStream(6), mu, sigma, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * x.nbytes
 
 
 def test_sample_covariance_min_eigenvalue_tracks_spectrum_floor():
