@@ -29,14 +29,6 @@ from .comparisons import DeterministicLink, LinkFunction, LogisticLink, _expit
 from .randomness import SpdMatrix
 
 
-class DegenerateModelError(ValueError):
-    """The model's weight vector is zero, so score differences are identically zero."""
-
-
-class LinkNotDifferentiableError(ValueError):
-    """c1 requested for a link with no derivative (the noiseless sign link)."""
-
-
 @dataclass(frozen=True)
 class ScoreDifferenceLaw:
     """Distribution of the score difference of a random pair: N(0, sigma_s^2)."""
@@ -55,7 +47,7 @@ class ScoreDifferenceLaw:
             raise ValueError(f"beta has shape {beta.shape}, expected ({sigma.dim},)")
         variance = 2.0 * float(beta @ sigma.entries @ beta)
         if variance <= 0:
-            raise DegenerateModelError("weight vector is zero; score differences have no spread")
+            raise ValueError("weight vector is zero; score differences have no spread")
         return cls(math.sqrt(variance))
 
 
@@ -99,7 +91,7 @@ def estimate_c1(link: LinkFunction, law: ScoreDifferenceLaw) -> float:
     that c1 falls below sys.float_info.min, where the per-node products keep only
     a few significant bits, raises ValueError."""
     if isinstance(link, DeterministicLink):
-        raise LinkNotDifferentiableError(
+        raise ValueError(
             "the sign link has no derivative; c1 (and the norm-error metric) is undefined at p_e = 0"
         )
     u, w = _half_line(_tau(link, law))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .calibration import ScoreDifferenceLaw, estimate_c1, estimate_pe, solve_alpha_for_pe
 from .comparisons import (
-    CsvFormatError,
     DeterministicLink,
     LogisticLink,
     ModelSpec,
@@ -64,13 +63,13 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
     Every column is validated as the model is built.  A non-finite value,
     alpha <= 0, c1 <= 0, a c1 with alpha "deterministic" or an empty c1 with a
     numeric alpha, a covariance that is not symmetric positive definite, or a
-    header of dimension 0 raises :class:`CsvFormatError` naming ``path:2``.
+    header of dimension 0 raises ValueError naming ``path:2``.
     """
     # A row for dimension d has (d + 1)^2 + 1 fields.  It is read as text since alpha and c1 may hold
     # the noiseless markers; as object, because loadtxt allocates str reads 50000 rows at a time.
     rows = _read_csv(path, lambda width: _truth_names(math.isqrt(width - 1) - 1), object)
     if len(rows) != 1:
-        raise CsvFormatError(f"{path}: expected one data row, got {len(rows)}")
+        raise ValueError(f"{path}: expected one data row, got {len(rows)}")
     *values, alpha, c1 = rows[0]
     d = math.isqrt(len(values) + 1) - 1
     try:
@@ -86,7 +85,7 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
         link = DeterministicLink() if alpha is None else LogisticLink(alpha)
         model = ModelSpec(d, values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
     except ValueError as exc:  # numpy's LinAlgError included
-        raise CsvFormatError(f"{path}:2: {exc}") from exc
+        raise ValueError(f"{path}:2: {exc}") from exc
     return model, alpha, c1
 
 

@@ -185,10 +185,6 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
 # CSV serialization: every table goes through _write_csv and _read_csv.
 
 
-class CsvFormatError(ValueError):
-    """A CSV file does not match its expected schema; message carries file and line."""
-
-
 _BLOCK_ROWS = 1 << 13
 
 
@@ -286,7 +282,7 @@ def _read_csv(path, header, dtype) -> np.ndarray:
     ``header(width)`` gives the exact header expected of a file whose first line
     has ``width`` fields.  A wrong header, a blank line, a row of another width,
     a field that does not parse as ``dtype`` and, for floats, NaN or an infinity
-    raise :class:`CsvFormatError` naming the file and line.
+    raise ValueError naming the file and line.
     """
     lineno = 1
 
@@ -294,7 +290,7 @@ def _read_csv(path, header, dtype) -> np.ndarray:
         nonlocal lineno
         for lineno, line in enumerate(f, start=2):
             if line.isspace():
-                raise CsvFormatError(f"{path}:{lineno}: blank line")
+                raise ValueError("blank line")
             yield line
 
     with open(path) as f, warnings.catch_warnings():
@@ -302,7 +298,7 @@ def _read_csv(path, header, dtype) -> np.ndarray:
         names = f.readline().rstrip("\n").split(",")
         expected = header(len(names))
         if names != expected:
-            raise CsvFormatError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
+            raise ValueError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
         # Parse the open file directly first (not its text: loadtxt then holds only
         # the parsed array).  loadtxt skips blank lines, so a result is kept only
         # if it has one row per "\n"-terminated body line; anything else is
@@ -316,17 +312,15 @@ def _read_csv(path, header, dtype) -> np.ndarray:
             f.seek(body_start)
             try:
                 rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
-            except CsvFormatError:
-                raise
             except ValueError as exc:
                 # numpy's own "at row ..." counts body rows from another origin
-                raise CsvFormatError(f"{path}:{lineno}: {str(exc).partition(' at row ')[0]}") from exc
+                raise ValueError(f"{path}:{lineno}: {str(exc).partition(' at row ')[0]}") from exc
     if not rows.size:
         return rows.reshape(0, len(names))
     if rows.shape[1] != len(names):
-        raise CsvFormatError(f"{path}:2: expected {len(names)} fields, got {rows.shape[1]}")
+        raise ValueError(f"{path}:2: expected {len(names)} fields, got {rows.shape[1]}")
     if rows.dtype.kind == "f" and not np.isfinite(rows).all():
-        raise CsvFormatError(f"{path}:{np.isfinite(rows).all(axis=1).argmin() + 2}: value is not finite")
+        raise ValueError(f"{path}:{np.isfinite(rows).all(axis=1).argmin() + 2}: value is not finite")
     return rows
 
 
@@ -338,7 +332,7 @@ def write_samples_csv(samples: SampleSet, path) -> None:
 def read_samples_csv(path) -> SampleSet:
     rows = _read_csv(path, lambda width: _names("x", width), float)
     if not len(rows) or len(rows) % 2 != 0:
-        raise CsvFormatError(f"{path}: expected an even, positive number of sample rows, got {len(rows)}")
+        raise ValueError(f"{path}: expected an even, positive number of sample rows, got {len(rows)}")
     return SampleSet(len(rows) // 2, rows)
 
 
@@ -364,12 +358,12 @@ def read_comparisons_csv(path, n: int) -> ComparisonDataset:
     """Read triples written by :func:`write_comparisons_csv` for a size-n comparison half."""
     i, j, y = _read_csv(path, lambda width: ["i", "j", "y"], np.int64).T
     if not len(y):
-        raise CsvFormatError(f"{path}: no comparison rows")
+        raise ValueError(f"{path}: no comparison rows")
     bad_index = (np.minimum(i, j) < 1) | (np.maximum(i, j) > n)
     bad_label = np.abs(y) != 1
     row = (bad_index | bad_label).argmax()
     if bad_index[row]:
-        raise CsvFormatError(f"{path}:{row + 2}: index outside [1, {n}]")
+        raise ValueError(f"{path}:{row + 2}: index outside [1, {n}]")
     if bad_label[row]:
-        raise CsvFormatError(f"{path}:{row + 2}: label must be -1 or 1, got {y[row]}")
+        raise ValueError(f"{path}:{row + 2}: label must be -1 or 1, got {y[row]}")
     return ComparisonDataset(n, i - 1, j - 1, y)

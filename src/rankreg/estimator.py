@@ -16,21 +16,17 @@ from .comparisons import ComparisonDataset, SampleSet, _names, _write_csv
 from .randomness import SpdMatrix
 
 
-class DegreesOfFreedomError(ValueError):
-    """Too few covariance samples for the corrected estimate (need N > d + 2)."""
-
-
 def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     """Estimate the feature covariance from the second half of ``samples``.
 
     Uses the corrected normalization 1/(N - d - 2) so the inverse of the
-    returned estimate is unbiased.  Raises :class:`DegreesOfFreedomError`
+    returned estimate is unbiased.  Raises ValueError
     when N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter
     matrix is singular (for example, all covariance rows identical).
     """
     n, d = samples.n, samples.d
     if n <= d + 2:
-        raise DegreesOfFreedomError(f"need N > d + 2, got N={n}, d={d}")
+        raise ValueError(f"need N > d + 2, got N={n}, d={d}")
     half = samples.covariance_half
     centered = half - half.mean(axis=0)
     sigma = centered.T @ centered / (n - d - 2)

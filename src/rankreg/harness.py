@@ -86,13 +86,13 @@ class SweepSpec:
     """Trials at ``base`` with ``swept_parameter`` set to each grid value in turn.
 
     Under m_rule ``fixed`` every grid point keeps ``base.m`` (an m-sweep takes its m from the grid).
-    Under ``n_log_n``, the default, ``base.m`` is replaced by ceil(n ln n) at every grid point.
+    Under ``n_log_n``, ``base.m`` is replaced by ceil(n ln n) at every grid point.
     """
 
     base: TrialConfig
     swept_parameter: str
     grid: tuple
-    m_rule: str = "n_log_n"
+    m_rule: str
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(self.grid))
@@ -262,7 +262,7 @@ def _angle_threshold(value: float) -> float:
     return value
 
 
-def find_min_n(spec: SweepSpec, angle_threshold: float = 0.3) -> tuple[Optional[int], SweepResult]:
+def find_min_n(spec: SweepSpec, angle_threshold: float) -> tuple[Optional[int], SweepResult]:
     """Smallest grid n of an n-sweep whose mean angle clears the threshold, plus the sweep up to it.
 
     Walks the grid in increasing order and stops at the first qualifying n;
@@ -309,10 +309,6 @@ def write_results(result: SweepResult, path_prefix) -> None:
 # Configuration files: flat key=value lines, '#' comments.
 
 
-class ConfigError(ValueError):
-    """A configuration file is malformed; message carries file and line."""
-
-
 def _choice(options: tuple):
     def convert(text: str) -> str:
         if text not in options:
@@ -336,33 +332,33 @@ def _read_config(path, converters: dict, required: tuple) -> dict:
                 continue
             key, sep, text = (part.strip() for part in line.partition("="))
             if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             if key not in converters:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 values[key] = converters[key](text)
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     for key in required:
         if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"{path}: missing required key {key!r}")
     return values
 
 
 def _sweep_spec(path, values: dict) -> SweepSpec:
-    """The sweep of a parsed config; a value the sweep rejects raises ConfigError naming the file."""
+    """The sweep of a parsed config; a value the sweep rejects raises ValueError naming the file."""
     swept, grid_text = values.pop("swept_parameter"), values.pop("grid")
     if swept in values:
-        raise ConfigError(f"{path}: {swept!r} is the swept parameter, so its values go in grid only")
+        raise ValueError(f"{path}: {swept!r} is the swept parameter, so its values go in grid only")
     for key in ("d", "n"):
         if key != swept and key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            raise ValueError(f"{path}: missing required key {key!r}")
     try:
         grid = tuple(map(_SWEEP_KEYS[swept], grid_text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad grid entry: {exc}") from exc
+        raise ValueError(f"{path}: bad grid entry: {exc}") from exc
     m_rule = "fixed" if "m" in values or swept == "m" else "n_log_n"
     try:
         base = {"lambda_min": 1.0, "target_pe": 0.0, swept: grid[0]} | values
@@ -370,7 +366,7 @@ def _sweep_spec(path, values: dict) -> SweepSpec:
             base["m"] = m_from_n(base["n"])
         return SweepSpec(TrialConfig(**base), swept, grid, m_rule)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_sweep_config(path) -> SweepSpec:

@@ -133,7 +133,7 @@ def test_criterion_5_error_falls_with_more_samples(capsys):
     base = TrialConfig(
         d=10, n=300, m=m_from_n(300), lambda_min=1.0, target_pe=0.2, repetitions=10, master_seed=20250805
     )
-    result = run_sweep(SweepSpec(base, "n", (300, 1000, 3000, 10_000)))
+    result = run_sweep(SweepSpec(base, "n", (300, 1000, 3000, 10_000), "n_log_n"))
     means = [agg.norm_error_mean for agg in result.aggregates]
     decreasing = all(b < a for a, b in zip(means, means[1:]))
     ratio = means[-1] / means[0]
@@ -170,7 +170,7 @@ def test_criterion_7_estimator_withstands_label_noise(capsys):
         base = TrialConfig(
             d=10, n=300, m=m_from_n(300), lambda_min=0.1, target_pe=pe, repetitions=10, master_seed=20250807
         )
-        result = run_sweep(SweepSpec(base, "n", (300, 1000, 10_000)))
+        result = run_sweep(SweepSpec(base, "n", (300, 1000, 10_000), "n_log_n"))
         means = [agg.angle_mean for agg in result.aggregates]
         shrink_ok = shrink_ok and means[2] < means[0]
         at_1000.append(means[1])
@@ -191,7 +191,7 @@ def test_criterion_8_sample_demands_track_structure(capsys):
         base = TrialConfig(
             d=d, n=300, m=m_from_n(300), lambda_min=lam, target_pe=0.2, repetitions=10, master_seed=20250808
         )
-        return find_min_n(SweepSpec(base, "n", grid), angle_threshold=0.3)[0]
+        return find_min_n(SweepSpec(base, "n", grid, "n_log_n"), angle_threshold=0.3)[0]
 
     by_d = [min_n(d, 0.1) for d in (5, 10, 20)]
     by_lam = [min_n(10, lam) for lam in (0.005, 0.1, 1.0)]
@@ -265,6 +265,7 @@ def test_criterion_9_exactness_and_determinism(tmp_path, capsys):
         TrialConfig(d=2, n=30, m=100, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=3),
         "n",
         (30, 60),
+        "n_log_n",
     )
     write_results(run_sweep(sweep), tmp_path / "s1")
     write_results(run_sweep(sweep), tmp_path / "s2")

@@ -18,9 +18,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import erfc, expit
 
 from rankreg import (
-    DegenerateModelError,
     DeterministicLink,
-    LinkNotDifferentiableError,
     LogisticLink,
     ModelSpec,
     RngStream,
@@ -92,8 +90,10 @@ def test_score_sigma_direct_cases():
 
 
 def test_score_sigma_rejects_zero_weights():
-    with pytest.raises(DegenerateModelError):
+    with pytest.raises(ValueError, match="weight vector is zero; score differences have no spread"):
         ScoreDifferenceLaw.from_parameters([0.0, 0.0], SpdMatrix(np.eye(2)))
+    with pytest.raises(ValueError, match=r"beta has shape \(3,\), expected \(2,\)"):
+        ScoreDifferenceLaw.from_parameters([1.0, 0.0, 0.0], SpdMatrix(np.eye(2)))
     with pytest.raises(ValueError):
         ScoreDifferenceLaw(0.0)
 
@@ -114,7 +114,7 @@ LAW_1 = ScoreDifferenceLaw(1.0)
 
 
 def test_c1_rejects_the_sign_link():
-    with pytest.raises(LinkNotDifferentiableError):
+    with pytest.raises(ValueError, match="the sign link has no derivative"):
         estimate_c1(DeterministicLink(), LAW_1)
 
 

@@ -16,7 +16,6 @@ import pytest
 
 import rankreg
 from rankreg import (
-    CsvFormatError,
     DeterministicLink,
     LogisticLink,
     RngStream,
@@ -254,7 +253,7 @@ _TRUTH_2 = "beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alph
 def test_read_truth_csv_rejects_bad_values_at_their_line(tmp_path, text, fragment):
     path = tmp_path / "t.truth.csv"
     path.write_text(text)
-    with pytest.raises(CsvFormatError, match=f"t.truth.csv:2: .*{fragment}"):
+    with pytest.raises(ValueError, match=f"t.truth.csv:2: .*{fragment}"):
         read_truth_csv(path)
 
 

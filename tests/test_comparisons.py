@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from rankreg import (
     ComparisonDataset,
-    CsvFormatError,
     DeterministicLink,
     LogisticLink,
     ModelSpec,
@@ -100,6 +99,8 @@ def test_model_spec_validation():
         ModelSpec(2, np.ones(2), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
     with pytest.raises(ValueError):
         ModelSpec(3, np.ones(3), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        ModelSpec(0, np.ones(0), np.zeros(0), SpdMatrix(np.eye(1)), LogisticLink())
 
 
 def test_sample_set_halves():
@@ -110,6 +111,8 @@ def test_sample_set_halves():
     assert np.array_equal(s.covariance_half, rows[3:])
     with pytest.raises(ValueError):
         SampleSet(4, rows)  # needs 8 rows
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        SampleSet(0, rows[:0])
 
 
 def test_comparison_dataset_validation():
@@ -123,6 +126,8 @@ def test_comparison_dataset_validation():
         ComparisonDataset(3, [0, 1], [1, 1], [1, 0])  # label not in {-1, +1}
     with pytest.raises(ValueError):
         ComparisonDataset(3, [], [], [])
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        ComparisonDataset(0, [0], [0], [1])
 
 
 # --- generation ------------------------------------------------------------
@@ -326,7 +331,7 @@ def test_tables_of_one_block_never_fork(tmp_path, monkeypatch):
 def test_samples_csv_errors_carry_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(CsvFormatError, match=f":{line}:") as err:
+    with pytest.raises(ValueError, match=f":{line}:") as err:
         read_samples_csv(path)
     # the file:line prefix is the only location in the message
     assert "at row" not in str(err.value) and "usecols" not in str(err.value)
@@ -335,14 +340,14 @@ def test_samples_csv_errors_carry_line_numbers(tmp_path, content, line):
 def test_samples_csv_rejects_an_empty_body(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("x_1,x_2\n")
-    with pytest.raises(CsvFormatError, match="got 0"):
+    with pytest.raises(ValueError, match="got 0"):
         read_samples_csv(path)
 
 
 def test_samples_csv_rejects_odd_row_count(tmp_path):
     path = tmp_path / "odd.csv"
     path.write_text("x_1\n1.0\n2.0\n3.0\n")
-    with pytest.raises(CsvFormatError, match="even"):
+    with pytest.raises(ValueError, match="even"):
         read_samples_csv(path)
 
 
@@ -367,7 +372,7 @@ def test_samples_csv_rejects_odd_row_count(tmp_path):
 def test_comparisons_csv_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(CsvFormatError, match=fragment) as err:
+    with pytest.raises(ValueError, match=fragment) as err:
         read_comparisons_csv(path, 5)
     assert "at row" not in str(err.value) and "usecols" not in str(err.value)
 

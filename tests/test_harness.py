@@ -1,6 +1,7 @@
 """Tests for trial orchestration, sweeps, result files, and config parsing."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from rankreg import harness
 from rankreg import (
     AGG_HEADER,
-    ConfigError,
     GridAggregate,
     RngStream,
     SweepSpec,
@@ -72,17 +72,17 @@ def test_trial_config_validation():
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
-        SweepSpec(BASE, "alpha", (1, 2))
+        SweepSpec(BASE, "alpha", (1, 2), "n_log_n")
     with pytest.raises(ValueError):
         SweepSpec(BASE, "n", (30, 60), m_rule="bogus")
     with pytest.raises(ValueError, match="m-sweep"):
         SweepSpec(BASE, "m", (100, 200), m_rule="n_log_n")
     with pytest.raises(ValueError):
-        SweepSpec(BASE, "n", (60, 30))
+        SweepSpec(BASE, "n", (60, 30), "n_log_n")
     with pytest.raises(ValueError):
-        SweepSpec(BASE, "n", (30, 30, 60))
+        SweepSpec(BASE, "n", (30, 30, 60), "n_log_n")
     with pytest.raises(ValueError):
-        SweepSpec(BASE, "d", (5, 60))  # d=60 needs n > 62
+        SweepSpec(BASE, "d", (5, 60), "n_log_n")  # d=60 needs n > 62
 
 
 def test_sweep_spec_expands_the_budget_rule():
@@ -92,16 +92,23 @@ def test_sweep_spec_expands_the_budget_rule():
     assert [(c.lambda_min, c.m) for c in fixed.configs()] == [(0.1, 200), (1.0, 200)]
 
 
+def test_sweep_spec_states_its_m_rule():
+    base = replace(BASE, m=500)
+    with pytest.raises(TypeError):
+        SweepSpec(base, "n", (50, 100))
+    assert [c.m for c in SweepSpec(base, "n", (50, 100), "fixed").configs()] == [500, 500]
+
+
 def test_min_n_query_validation():
     for bad in (0.0, -1.0, math.pi, 4.0):
         with pytest.raises(ValueError):
-            find_min_n(SweepSpec(BASE, "n", (30, 60)), angle_threshold=bad)
+            find_min_n(SweepSpec(BASE, "n", (30, 60), "n_log_n"), angle_threshold=bad)
     with pytest.raises(ValueError):
-        SweepSpec(BASE, "n", (60, 30))
+        SweepSpec(BASE, "n", (60, 30), "n_log_n")
     with pytest.raises(ValueError):
-        SweepSpec(TrialConfig(d=40, n=100, m=10, lambda_min=1.0, target_pe=0.0), "n", (30, 60))
+        SweepSpec(TrialConfig(d=40, n=100, m=10, lambda_min=1.0, target_pe=0.0), "n", (30, 60), "n_log_n")
     with pytest.raises(ValueError, match="sweep over n"):
-        find_min_n(SweepSpec(BASE, "d", (1, 2)), angle_threshold=3.1)
+        find_min_n(SweepSpec(BASE, "d", (1, 2), "n_log_n"), angle_threshold=3.1)
 
 
 # --- common random numbers -------------------------------------------------
@@ -192,7 +199,7 @@ def test_single_point_sweep_matches_the_bare_trial():
 
 
 def test_sweep_aggregates_recompute():
-    result = run_sweep(SweepSpec(BASE, "n", (30, 60)))
+    result = run_sweep(SweepSpec(BASE, "n", (30, 60), "n_log_n"))
     assert len(result.rows) == 2 * BASE.repetitions
     for agg, value in zip(result.aggregates, (30, 60)):
         point = [r for r in result.rows if r.config.n == value]
@@ -208,7 +215,7 @@ def test_sweep_aggregates_recompute():
 def test_sweep_records_failures_and_keeps_going(monkeypatch):
     _fail_calibration(monkeypatch)
     base = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2)
-    result = run_sweep(SweepSpec(base, "n", (30, 60)))
+    result = run_sweep(SweepSpec(base, "n", (30, 60), "n_log_n"))
     assert len(result.rows) == 4
     assert all(isinstance(r, TrialFailure) for r in result.rows)
     assert all(INJECTED in r.message for r in result.rows)
@@ -222,17 +229,17 @@ def test_sweep_records_failures_and_keeps_going(monkeypatch):
 
 def test_noiseless_sweep_leaves_error_aggregates_empty():
     base = TrialConfig(d=2, n=30, m=100, lambda_min=1.0, target_pe=0.0, repetitions=2)
-    result = run_sweep(SweepSpec(base, "n", (30, 60)))
+    result = run_sweep(SweepSpec(base, "n", (30, 60), "n_log_n"))
     for agg in result.aggregates:
         assert agg.norm_error_mean is None and agg.norm_error_std is None
         assert agg.angle_mean is not None and agg.count == 2
 
 
 GRID_SWEEPS = {
-    "n": SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120)),
+    "n": SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120), "n_log_n"),
     "m": SweepSpec(replace(BASE, repetitions=3), "m", (50, 200, 800), m_rule="fixed"),
-    "d": SweepSpec(replace(BASE, repetitions=3), "d", (1, 2, 4)),
-    "lambda_min": SweepSpec(replace(BASE, repetitions=3), "lambda_min", (0.25, 0.5, 1.0)),
+    "d": SweepSpec(replace(BASE, repetitions=3), "d", (1, 2, 4), "n_log_n"),
+    "lambda_min": SweepSpec(replace(BASE, repetitions=3), "lambda_min", (0.25, 0.5, 1.0), "n_log_n"),
 }
 
 
@@ -275,14 +282,14 @@ QUERY_BASE = TrialConfig(d=2, n=30, m=100, lambda_min=1.0, target_pe=0.0, repeti
 
 
 def test_find_min_n_accepts_the_first_point_under_a_loose_threshold():
-    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60, 120)), angle_threshold=3.1)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60, 120), "n_log_n"), angle_threshold=3.1)
     assert found == 30
     assert len(partial.rows) == QUERY_BASE.repetitions  # later points never ran
     assert len(partial.aggregates) == 1
 
 
 def test_find_min_n_reports_unreachable_thresholds():
-    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60)), angle_threshold=1e-9)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 60), "n_log_n"), angle_threshold=1e-9)
     assert found is None
     assert len(partial.aggregates) == 2  # every point ran
 
@@ -290,18 +297,19 @@ def test_find_min_n_reports_unreachable_thresholds():
 def test_find_min_n_walks_until_the_threshold_clears():
     # deterministic mean angles on this grid: 0.212 at n=30, 0.151 at n=120,
     # so a 0.18 threshold forces the walk past the first point exactly once
-    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 120, 480)), angle_threshold=0.18)
+    found, partial = find_min_n(SweepSpec(QUERY_BASE, "n", (30, 120, 480), "n_log_n"), angle_threshold=0.18)
     assert found == 120
     assert len(partial.aggregates) == 2
 
 
 def test_find_min_n_realizes_each_model_once(realize_calls):
-    _, partial = find_min_n(SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120)), angle_threshold=1e-9)
+    spec = SweepSpec(replace(BASE, repetitions=3), "n", (30, 60, 120), "n_log_n")
+    _, partial = find_min_n(spec, angle_threshold=1e-9)
     assert len(partial.aggregates) == 3 and len(realize_calls) == 3
 
 
 def test_find_min_n_empty_grid():
-    assert find_min_n(SweepSpec(QUERY_BASE, "n", ()))[0] is None
+    assert find_min_n(SweepSpec(QUERY_BASE, "n", (), "n_log_n"), 0.3)[0] is None
 
 
 # --- result files ----------------------------------------------------------
@@ -312,7 +320,7 @@ def _lines(path):
 
 
 def test_write_results_layout(tmp_path):
-    result = run_sweep(SweepSpec(BASE, "n", (30, 60)))
+    result = run_sweep(SweepSpec(BASE, "n", (30, 60), "n_log_n"))
     write_results(result, tmp_path / "out")
     trials = _lines(tmp_path / "out.trials.csv")
     agg = _lines(tmp_path / "out.agg.csv")
@@ -332,7 +340,7 @@ def test_write_results_layout(tmp_path):
 
 def test_write_results_noiseless_rows_leave_error_columns_empty(tmp_path):
     base = TrialConfig(d=2, n=30, m=100, lambda_min=1.0, target_pe=0.0, repetitions=2)
-    write_results(run_sweep(SweepSpec(base, "n", (30,))), tmp_path / "out")
+    write_results(run_sweep(SweepSpec(base, "n", (30,), "n_log_n")), tmp_path / "out")
     for line in _lines(tmp_path / "out.trials.csv")[1:]:
         fields = line.split(",")
         assert fields[6] == "" and fields[8] == ""  # no shrinkage constant
@@ -352,7 +360,7 @@ def test_write_results_failure_rows_are_all_empty(tmp_path, monkeypatch):
 
 
 def test_write_results_reruns_identically_except_wall_time(tmp_path):
-    spec = SweepSpec(BASE, "n", (30, 60))
+    spec = SweepSpec(BASE, "n", (30, 60), "n_log_n")
     write_results(run_sweep(spec), tmp_path / "a")
     write_results(run_sweep(spec), tmp_path / "b")
     assert (tmp_path / "a.agg.csv").read_bytes() == (tmp_path / "b.agg.csv").read_bytes()
@@ -364,7 +372,7 @@ def test_write_results_reruns_identically_except_wall_time(tmp_path):
 
 
 def test_write_results_empty_sweep(tmp_path):
-    write_results(run_sweep(SweepSpec(BASE, "n", ())), tmp_path / "out")
+    write_results(run_sweep(SweepSpec(BASE, "n", (), "n_log_n")), tmp_path / "out")
     assert _lines(tmp_path / "out.trials.csv") == [TRIALS_HEADER]
     assert _lines(tmp_path / "out.agg.csv") == [AGG_HEADER]
 
@@ -449,9 +457,8 @@ def test_read_sweep_config_lambda_grid_is_float(tmp_path):
     ],
 )
 def test_read_sweep_config_errors(tmp_path, text, fragment):
-    with pytest.raises(ConfigError) as excinfo:
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         read_sweep_config(_config(tmp_path, text))
-    assert fragment in str(excinfo.value)
 
 
 def test_read_sweep_config_uses_a_stated_m_at_every_grid_point(tmp_path):
@@ -477,12 +484,13 @@ def test_read_min_n_config(tmp_path):
 def test_read_min_n_config_defaults_and_errors(tmp_path):
     _, threshold = read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 30\n"))
     assert threshold == 0.3
-    with pytest.raises(ConfigError, match="n_grid"):
+    with pytest.raises(ValueError, match="n_grid"):
         read_min_n_config(_config(tmp_path, "d = 2\n"))
-    with pytest.raises(ConfigError):
+    threshold_message = r":3: bad value for 'angle_threshold': angle_threshold must lie in \(0, pi\), got 9.0"
+    with pytest.raises(ValueError, match=threshold_message):
         read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 30\nangle_threshold = 9\n"))
-    with pytest.raises(ConfigError, match="sweep.cfg: n must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="sweep.cfg: n must be >= 1, got 0"):
         read_min_n_config(_config(tmp_path, "d = 2\nn_grid = 0, 50\n"))
     for line in ("n = 30", "m = 100", "m_rule = fixed", "swept_parameter = d", "grid = 1, 2"):
-        with pytest.raises(ConfigError, match=":3: unknown key"):
+        with pytest.raises(ValueError, match=":3: unknown key"):
             read_min_n_config(_config(tmp_path, f"d = 2\nn_grid = 30\n{line}\n"))

@@ -72,6 +72,10 @@ def test_spd_validation():
 def test_covariance_spec_validation():
     with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
         make_covariance(RngStream(0), 0, 0.5)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        make_orthonormal_basis(RngStream(0), 0)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        sample_ground_truth(RngStream(0), 0)
     for lambda_min in (0.0, 1.2, float("nan")):
         with pytest.raises(ValueError, match=r"lambda_min must lie in \(0, 1\]"):
             make_covariance(RngStream(0), 3, lambda_min)
