@@ -30,6 +30,7 @@ from .comparisons import (
 )
 from .estimator import angle, estimate_beta, norm_error, write_estimate_csv
 from .harness import (
+    TrialConfig,
     TrialFailure,
     find_min_n,
     read_min_n_config,
@@ -90,6 +91,7 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
 
 
 def cmd_generate(args) -> int:
+    TrialConfig(args.d, args.n, args.m, args.lambda_min, args.pe, master_seed=args.seed)  # trials' bounds
     stream = RngStream(args.seed)
     model, alpha, c1 = realize_model(stream, args.d, args.lambda_min, args.pe)
     samples, dataset = simulate(stream, model, args.n, args.m)

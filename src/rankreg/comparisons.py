@@ -8,6 +8,8 @@ follow the sign of the score difference and exact ties are fair coin flips.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import shutil
 import tempfile
@@ -214,6 +216,43 @@ def _write_rows(f, rows, start: int, stop: int) -> None:
             f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
 
 
+@contextlib.contextmanager
+def _forked(path, cuts, job, **temp):
+    """Run ``job(out, lo, hi)``, which flushes ``out = tempfile.TemporaryFile(**temp)``, in a forked child for each
+    range ``cuts[k]..cuts[k + 1]`` but the first.  The caller does the first range in the ``with`` block, then iterates
+    what it yields: each child's file, rewound, once it has exited, in range order.  A job that raises exits 1,
+    silently; a non-zero exit raises OSError naming ``path``.  Every child is reaped and every file closed."""
+    outs, pids = [], []  # one temporary file per child; pids not yet reaped, in range order
+
+    def reaped(out):
+        pid, status = os.waitpid(pids[0], 0)
+        del pids[0]
+        if status:
+            raise OSError(f"{path}: writer process {pid} exited with status {os.waitstatus_to_exitcode(status)}")
+        out.seek(0)
+        return out
+
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            outs.append(tempfile.TemporaryFile(**temp))
+            # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no lock, and leaves by os._exit without
+            # flushing this process's buffers.  Python >= 3.12 warns (DeprecationWarning) at a fork while they run.
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    job(outs[-1], lo, hi)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        yield map(reaped, outs)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for out in outs:
+            out.close()
+
+
 def _write_csv(path, header, rows) -> None:
     """Write a header line and ``rows`` (a 2-d array, a sequence of rows, or any sized
     object whose slices are one of these), each ending in "\\n".
@@ -223,57 +262,28 @@ def _write_csv(path, header, rows) -> None:
     Python numbers or one string.  An array block is formatted by one
     %-template: %r of a Python int or float is the same text as its str.
 
-    A table of more than one block is split at block boundaries into
-    ``min(available CPUs, blocks)`` contiguous row ranges.  This process writes
-    the header and the first range; each later range is formatted by a forked
-    child into an anonymous temporary file in the target's directory and
-    appended in order.  Each row's text depends only on the row, so the file is
-    byte-identical to a single-process write.  A child that fails raises
-    OSError naming ``path``.
+    A table of more than one block is split at block boundaries into one row range per CPU.  This
+    process writes the first and :func:`_forked` children the others, appended in order; a row's text
+    depends only on the row.  A failed child prints its error, and OSError naming ``path`` is raised.
     """
     blocks = -(-len(rows) // _BLOCK_ROWS)
     parts = max(1, min(_cpu_count(), blocks))
     cuts = [min(len(rows), k * blocks // parts * _BLOCK_ROWS) for k in range(parts + 1)]
-    outs, pids = [], []  # one temporary file per child; pids not yet reaped, in range order
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            out = tempfile.TemporaryFile("w+", newline="", dir=os.path.dirname(os.path.abspath(path)))
-            outs.append(out)
-            # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no
-            # lock, and leaves by os._exit without flushing this process's buffers.
-            # Python >= 3.12 warns (DeprecationWarning) at a fork while such threads run.
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    _write_rows(out, rows, lo, hi)
-                    out.flush()
-                    code = 0
-                except Exception as exc:
-                    os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            _write_rows(f, rows, 0, cuts[1])
-            for out in outs:
-                status = os.waitpid(pids[0], 0)[1]
-                pid = pids.pop(0)
-                if status:
-                    raise OSError(f"{path}: writer process {pid} exited with status {os.waitstatus_to_exitcode(status)}")
-                out.seek(0)
-                shutil.copyfileobj(out, f)
-    finally:
-        for pid in pids:
-            os.waitpid(pid, 0)
+
+    def write_range(out, lo, hi):
+        try:
+            _write_rows(out, rows, lo, hi)
+            out.flush()
+        except Exception as exc:
+            os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
+            raise
+
+    temp = dict(mode="w+", newline="", dir=os.path.dirname(os.path.abspath(path)))  # on the table's disk
+    with _forked(path, cuts, write_range, **temp) as outs, open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        _write_rows(f, rows, 0, cuts[1])
         for out in outs:
-            out.close()
-
-
-def _count_lines(path) -> int:
-    with open(path, "rb") as f:
-        return sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 20), b""))
+            shutil.copyfileobj(out, f)
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:
@@ -283,6 +293,11 @@ def _read_csv(path, header, dtype) -> np.ndarray:
     has ``width`` fields.  A wrong header, a blank line, a row of another width,
     a field that does not parse as ``dtype`` and, for floats, NaN or an infinity
     raise ValueError naming the file and line.
+
+    The body is split after a "\\n" into byte ranges about equal in size, one per CPU and at most
+    one per ``_BLOCK_ROWS`` lines, that this process (the first) and :func:`_forked` children parse,
+    each from exactly its own bytes.  If one fails or has a row count other than its "\\n" count,
+    the body is parsed again line by line here, which finds and names the offending line.
     """
     lineno = 1
 
@@ -293,23 +308,31 @@ def _read_csv(path, header, dtype) -> np.ndarray:
                 raise ValueError("blank line")
             yield line
 
+    def parse(lo, hi):
+        with open(path, "rb") as g:
+            g.seek(lo)
+            text = g.read(hi - lo)
+        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        if len(rows) != text.count(b"\n"):  # loadtxt skips blank lines
+            raise ValueError(f"{path}: {len(rows)} rows in bytes {lo}..{hi - 1}")
+        return rows
+
     with open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
         names = f.readline().rstrip("\n").split(",")
         expected = header(len(names))
         if names != expected:
             raise ValueError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
-        # Parse the open file directly first (not its text: loadtxt then holds only
-        # the parsed array).  loadtxt skips blank lines, so a result is kept only
-        # if it has one row per "\n"-terminated body line; anything else is
-        # parsed again line by line, which finds and names the offending line.
-        body_start = f.tell()
-        try:
-            rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            rows = None
-        if rows is None or len(rows) != _count_lines(path) - 1:
-            f.seek(body_start)
+        try:  # f.tell() is the body's byte offset, or on a pipe raises, or after a lone "\r" is too large to seek to
+            with open(path, "rb") as fb:
+                start = fb.seek(f.tell())
+                block = sum(len(line) for _, line in zip(range(_BLOCK_ROWS), fb))  # bytes in the first block of lines
+                size = fb.seek(0, os.SEEK_END) - start
+                parts = min(_cpu_count(), -(-size // block)) if block else 1
+                cuts = [start] + [fb.seek(start + k * size // parts) + len(fb.readline()) for k in range(1, parts + 1)]
+            with _forked(path, cuts, lambda out, lo, hi: np.save(out, parse(lo, hi)), mode="w+b", buffering=0) as outs:
+                rows = np.concatenate([parse(cuts[0], cuts[1]), *(np.load(out) for out in outs)])
+        except (ValueError, OSError):  # a child tells a failed parse by its exit status alone
             try:
                 rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:

@@ -26,6 +26,8 @@ from rankreg import (
     read_samples_csv,
     realize_model,
     simulate,
+    write_comparisons_csv,
+    write_samples_csv,
 )
 from rankreg.cli import main, read_truth_csv
 
@@ -94,11 +96,20 @@ def test_read_truth_csv_returns_the_realized_model(tmp_path, pe):
         assert isinstance(got.link, DeterministicLink)
 
 
-@pytest.mark.parametrize("lambda_min", ["0", "1.5"])
-def test_generate_rejects_a_spectrum_floor_outside_the_unit_interval(tmp_path, capsys, lambda_min):
-    argv = ["generate", "--d", "3", "--n", "10", "--m", "5", "--lambda-min", lambda_min]
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        pytest.param(["--n", "10", "--lambda-min", "0"], "lambda_min must lie in (0, 1]", id="0"),
+        pytest.param(["--n", "10", "--lambda-min", "1.5"], "lambda_min must lie in (0, 1]", id="1.5"),
+        # estimate needs N > d + 2 covariance rows, so generate refuses to write fewer
+        pytest.param(["--n", "4"], "n must exceed d + 2", id="n=d+1"),
+        pytest.param(["--n", "5"], "n must exceed d + 2", id="n=d+2"),
+    ],
+)
+def test_generate_rejects_a_spectrum_floor_outside_the_unit_interval(tmp_path, capsys, flags, message):
+    argv = ["generate", "--d", "3", "--m", "5", *flags]
     assert main([*argv, "--out-prefix", str(tmp_path / "out")]) == 1
-    assert "lambda_min must lie in (0, 1]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -279,17 +290,21 @@ def test_estimate_checks_the_truth_before_estimating(tmp_path, capsys, alpha, c1
 
 
 def test_estimate_needs_enough_covariance_rows(tmp_path, capsys):
-    out = _generate(tmp_path, d=3, n=5, m=4)  # generation is fine, estimation is not
+    # generate refuses n <= d + 2, so the library writes the files estimate must refuse
+    model, _, _ = realize_model(RngStream(0), 3, 1.0, 0.0)
+    samples, dataset = simulate(RngStream(0), model, 5, 4)
+    write_samples_csv(samples, tmp_path / "out.samples.csv")
+    write_comparisons_csv(dataset, tmp_path / "out.comparisons.csv")
     rc = main(
         [
             "estimate",
-            "--samples", str(out.with_suffix(".samples.csv")),
-            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--samples", str(tmp_path / "out.samples.csv"),
+            "--comparisons", str(tmp_path / "out.comparisons.csv"),
             "--out", str(tmp_path / "bh.csv"),
         ]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == "error: need N > d + 2, got N=5, d=3\n"
 
 
 def test_estimate_reports_a_singular_covariance_half(tmp_path, capsys):
@@ -516,7 +531,7 @@ def test_cli_import_loads_no_scipy_solver_or_integrator():
 
 
 def test_forked_generate_is_warning_clean_and_matches_one_process(tmp_path, monkeypatch, capsys):
-    # n = 5000 writes 10,000 sample rows, more than one write block, so the writer forks
+    # n = 5000 writes 10,000 sample rows, more than one block, so the writer and the readers fork
     argv = ["generate", "--d", "3", "--n", "5000", "--m", "20000", "--pe", "0.2", "--seed", "4", "--out-prefix"]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "rankreg", *argv, str(tmp_path / "forked")], capture_output=True, text=True
@@ -527,6 +542,18 @@ def test_forked_generate_is_warning_clean_and_matches_one_process(tmp_path, monk
     assert capsys.readouterr().out == proc.stdout
     for suffix in ("samples", "comparisons", "truth"):
         assert (tmp_path / f"forked.{suffix}.csv").read_bytes() == (tmp_path / f"serial.{suffix}.csv").read_bytes()
+
+    def estimate(prefix):
+        files = [f"--{kind}={tmp_path / f'forked.{kind}.csv'}" for kind in ("samples", "comparisons", "truth")]
+        return ["estimate", *files, f"--out={tmp_path / prefix}.beta_hat.csv"]
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rankreg", *estimate("forked")], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(estimate("serial")) == 0
+    assert capsys.readouterr().out == proc.stdout
+    assert (tmp_path / "forked.beta_hat.csv").read_bytes() == (tmp_path / "serial.beta_hat.csv").read_bytes()
 
 
 def test_console_script_is_installed():

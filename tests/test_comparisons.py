@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from rankreg import (
 )
 from rankreg import comparisons
 from rankreg.cli import main
-from rankreg.comparisons import _OneBasedTriples, _expit, _write_csv
+from rankreg.comparisons import _OneBasedTriples, _expit, _read_csv, _write_csv
 
 finite_x = st.floats(-30.0, 30.0)
 
@@ -274,8 +275,10 @@ def test_parallel_write_matches_a_one_process_reference(tmp_path, monkeypatch, p
         path = tmp_path / f"{name}.csv"
         _write_csv(path, ["a", "b", "c"], rows)
         assert path.read_text() == "a,b,c\n" + body
+        back = _read_csv(path, lambda width: ["a", "b", "c"], rows[:count].dtype)
+        assert back.dtype == rows[:count].dtype and back.tobytes() == rows[:count].tobytes()  # -0.0 too
     blocks = -(-count // 8192)
-    assert len(forks) == 2 * (min(parts, max(blocks, 1)) - 1)
+    assert len(forks) == 4 * (min(parts, max(blocks, 1)) - 1)  # a write and a read of each table
     assert sorted(p.name for p in tmp_path.iterdir()) == ["array.csv", "triples.csv"]
 
 
@@ -312,22 +315,22 @@ def test_tables_of_one_block_never_fork(tmp_path, monkeypatch):
     assert (tmp_path / "t.csv").read_text() == "a,b\n1.5,\n"
 
 
-@pytest.mark.parametrize(
-    "content,line",
-    [
-        ("a,b\n1.0,2.0\n", 1),  # wrong header
-        ("x_1,x_2\n1.0\n", 2),  # short row
-        ("x_1,x_2\n1.0,oops\n", 2),  # bad float
-        ("x_1,x_2\n1.0,2.0\n3.0,4.0,5.0\n", 3),  # long row
-        ("x_1,x_2\n1.0,2.0\nnan,4.0\n", 3),
-        ("x_1,x_2\n1.0,2.0\n3.0,-inf\n", 3),
-        ("x_1,x_2\n1.0,2.0\n1e400,4.0\n", 3),  # overflows to inf
-        ("x_1,x_2\n1.0,2.0\n\n3.0,4.0\n", 3),  # blank line
-        ("x_1,x_2\n1.0,2.0\n3.0,#4.0\n", 3),  # '#' is not a comment marker
-        ("x_1,x_2\n1.0,2.0\n3.0,4.0\n5.0,abc\n", 4),  # bad float past the first body row
-        ("x_1,x_2\n1.0,2.0\n3.0,4.0\n5.0,6.0,7.0\n", 4),  # long row past the first body row
-    ],
-)
+SAMPLE_ERRORS = [
+    ("a,b\n1.0,2.0\n", 1),  # wrong header
+    ("x_1,x_2\n1.0\n", 2),  # short row
+    ("x_1,x_2\n1.0,oops\n", 2),  # bad float
+    ("x_1,x_2\n1.0,2.0\n3.0,4.0,5.0\n", 3),  # long row
+    ("x_1,x_2\n1.0,2.0\nnan,4.0\n", 3),
+    ("x_1,x_2\n1.0,2.0\n3.0,-inf\n", 3),
+    ("x_1,x_2\n1.0,2.0\n1e400,4.0\n", 3),  # overflows to inf
+    ("x_1,x_2\n1.0,2.0\n\n3.0,4.0\n", 3),  # blank line
+    ("x_1,x_2\n1.0,2.0\n3.0,#4.0\n", 3),  # '#' is not a comment marker
+    ("x_1,x_2\n1.0,2.0\n3.0,4.0\n5.0,abc\n", 4),  # bad float past the first body row
+    ("x_1,x_2\n1.0,2.0\n3.0,4.0\n5.0,6.0,7.0\n", 4),  # long row past the first body row
+]
+
+
+@pytest.mark.parametrize("content,line", SAMPLE_ERRORS)
 def test_samples_csv_errors_carry_line_numbers(tmp_path, content, line):
     path = tmp_path / "bad.csv"
     path.write_text(content)
@@ -351,30 +354,98 @@ def test_samples_csv_rejects_odd_row_count(tmp_path):
         read_samples_csv(path)
 
 
-@pytest.mark.parametrize(
-    "content,fragment",
-    [
-        ("i,j\n", "header"),
-        ("i,j,y\n1,2\n", ":2:"),
-        ("i,j,y\n1,2,0\n", "label"),
-        ("i,j,y\n0,2,1\n", "index"),
-        ("i,j,y\n1,6,1\n", "index"),
-        ("i,j,y\n", "no comparison rows"),
-        ("i,j,y\n1,2,1\n1,2\n", ":3:"),
-        ("i,j,y\n1,2,1\n1,2,1.0\n", ":3:"),
-        ("i,j,y\n1,2,1\n\n1,2,1\n", ":3:"),
-        ("i,j,y\n1,2,1\n2,1,-1\n1,9,1\n", ":4: index"),
-        ("i,j,y\n1,2,1\n2,1,-2\n9,1,1\n", ":3: label"),
-        ("i,j,y\n1,2,1\n2,1,-1\n1,2,x\n", ":4:"),
-        ("i,j,y\n1,2,1\n2,1,-1\n1,2,1,1\n", ":4:"),
-    ],
-)
+COMPARISON_ERRORS = [
+    ("i,j\n", "header"),
+    ("i,j,y\n1,2\n", ":2:"),
+    ("i,j,y\n1,2,0\n", "label"),
+    ("i,j,y\n0,2,1\n", "index"),
+    ("i,j,y\n1,6,1\n", "index"),
+    ("i,j,y\n", "no comparison rows"),
+    ("i,j,y\n1,2,1\n1,2\n", ":3:"),
+    ("i,j,y\n1,2,1\n1,2,1.0\n", ":3:"),
+    ("i,j,y\n1,2,1\n\n1,2,1\n", ":3:"),
+    ("i,j,y\n1,2,1\n2,1,-1\n1,9,1\n", ":4: index"),
+    ("i,j,y\n1,2,1\n2,1,-2\n9,1,1\n", ":3: label"),
+    ("i,j,y\n1,2,1\n2,1,-1\n1,2,x\n", ":4:"),
+    ("i,j,y\n1,2,1\n2,1,-1\n1,2,1,1\n", ":4:"),
+]
+
+
+@pytest.mark.parametrize("content,fragment", COMPARISON_ERRORS)
 def test_comparisons_csv_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(ValueError, match=fragment) as err:
         read_comparisons_csv(path, 5)
     assert "at row" not in str(err.value) and "usecols" not in str(err.value)
+
+
+LONG = 3 * 8192  # valid rows beside the fault: the body splits into as many read ranges as there are CPUs
+
+
+def _errors_per_cpu_count(monkeypatch, read):
+    """The message ``read()`` raises with one, two and three CPUs."""
+    messages = []
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
+        with pytest.raises(ValueError) as err:
+            read()
+        messages.append(str(err.value))
+    return messages
+
+
+def _with_long_valid_run(content, row, fault_last):
+    """``content`` with LONG copies of ``row`` after its header line, or at its end."""
+    header, _, body = content.partition("\n")
+    return f"{header}\n{row * LONG}{body}" if fault_last else content + row * LONG
+
+
+@pytest.mark.parametrize("fault_last", [True, False], ids=["fault-in-last-range", "fault-in-first-range"])
+@pytest.mark.parametrize("content,line", SAMPLE_ERRORS)
+def test_samples_csv_errors_in_a_split_body_match_one_process(tmp_path, monkeypatch, content, line, fault_last):
+    path = tmp_path / "bad.csv"
+    path.write_text(_with_long_valid_run(content, "1.0,2.0\n", fault_last))
+    one, two, three = _errors_per_cpu_count(monkeypatch, lambda: read_samples_csv(path))
+    assert one == two == three and re.match(rf"{re.escape(str(path))}:\d+: ", one)
+    if fault_last:  # a fault first may read differently, e.g. a short first row sets the width
+        assert f":{line + LONG if line > 1 else 1}:" in one
+
+
+@pytest.mark.parametrize("fault_last", [True, False], ids=["fault-in-last-range", "fault-in-first-range"])
+@pytest.mark.parametrize(
+    "content,fragment",
+    [case for case in COMPARISON_ERRORS if case[0] != "i,j,y\n"],  # an empty body has no fault to move
+)
+def test_comparisons_csv_errors_in_a_split_body_match_one_process(tmp_path, monkeypatch, content, fragment, fault_last):
+    path = tmp_path / "bad.csv"
+    path.write_text(_with_long_valid_run(content, "1,2,1\n", fault_last))
+    one, two, three = _errors_per_cpu_count(monkeypatch, lambda: read_comparisons_csv(path, 5))
+    assert one == two == three and re.match(rf"{re.escape(str(path))}:\d+: ", one)
+    if fault_last:
+        assert re.search(re.sub(r":(\d+):", lambda m: f":{int(m[1]) + LONG}:", fragment), one)
+
+
+def test_parallel_read_falls_back_to_one_process_when_a_child_fails(tmp_path, monkeypatch, capfd):
+    parent_pid = os.getpid()
+    real_save = np.save
+
+    def save(out, rows):
+        if os.getpid() != parent_pid:
+            raise OSError("injected child fault")
+        real_save(out, rows)
+
+    features = np.random.default_rng(5).standard_normal((3 * 8192, 2))
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(len(features) // 2, features), path)
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(np, "save", save)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert np.array_equal(read_samples_csv(path).features, features)
+    assert capfd.readouterr().err == ""  # a failed read child prints nothing
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # every temporary file is closed
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 # --- golden bytes ------------------------------------------------------------
