@@ -84,7 +84,7 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
         if c1 is not None and not c1 > 0:
             raise ValueError(f"c1 must be > 0, got {c1}")
         link = DeterministicLink() if alpha is None else LogisticLink(alpha)
-        model = ModelSpec(d, values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
+        model = ModelSpec(values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
     except ValueError as exc:  # numpy's LinAlgError included
         raise ValueError(f"{path}:2: {exc}") from exc
     return model, alpha, c1

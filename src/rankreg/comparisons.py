@@ -61,9 +61,8 @@ LinkFunction = Union[LogisticLink, DeterministicLink]
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Ground-truth generative model for features and comparison labels."""
+    """Ground-truth generative model for features and comparison labels; d is the dimension of ``sigma``."""
 
-    d: int
     beta: np.ndarray
     mu: np.ndarray
     sigma: SpdMatrix
@@ -72,30 +71,31 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
         for name in ("beta", "mu"):
             v = getattr(self, name)
             if v.shape != (self.d,):
                 raise ValueError(f"{name} has shape {v.shape}, expected ({self.d},)")
-        if self.sigma.dim != self.d:
-            raise ValueError(f"sigma has dim {self.sigma.dim}, expected {self.d}")
+
+    @property
+    def d(self) -> int:
+        return self.sigma.dim
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """2N feature rows: rows 0..N-1 feed comparisons, rows N..2N-1 feed covariance."""
 
-    n: int
     features: np.ndarray
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
         object.__setattr__(self, "features", f)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if f.ndim != 2 or f.shape[0] != 2 * self.n:
-            raise ValueError(f"features must have exactly {2 * self.n} rows, got shape {f.shape}")
+        if f.ndim != 2 or not len(f) or len(f) % 2:
+            raise ValueError(f"features must have an even, positive number of rows, got shape {f.shape}")
+
+    @property
+    def n(self) -> int:
+        return len(self.features) // 2
 
     @property
     def d(self) -> int:
@@ -145,7 +145,7 @@ def generate_samples(rng: RngStream, spec: ModelSpec, n: int) -> SampleSet:
     """Draw 2n i.i.d. feature rows from the model's Gaussian."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return SampleSet(n, sample_gaussian(rng, spec.mu, spec.sigma, 2 * n))
+    return SampleSet(sample_gaussian(rng, spec.mu, spec.sigma, 2 * n))
 
 
 def generate_comparisons(
@@ -194,11 +194,6 @@ def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}_{k + 1}" for k in range(count)]
 
 
-def _field(value) -> str:
-    # str of a Python float is its repr, the shortest text that round-trips exactly
-    return "" if value is None else str(value)
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on, or 1 where it cannot fork or tell."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -206,14 +201,17 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_rows(f, rows, start: int, stop: int) -> None:
+def _write_rows(f, rows, width: int, start: int, stop: int) -> None:
+    line = ",".join(["%s"] * width) + "\n"  # %s of a Python float is its repr, the shortest exact round trip
     for lo in range(start, stop, _BLOCK_ROWS):
         block = rows[lo : min(lo + _BLOCK_ROWS, stop)]
         if isinstance(block, np.ndarray):
-            line = ",".join(["%r"] * block.shape[1]) + "\n"
-            f.write(line * len(block) % tuple(block.ravel().tolist()))
+            values = block.ravel().tolist()
+        elif all(len(row) == width for row in block):  # else the flat template would shift fields across rows
+            values = ["" if value is None else value for row in block for value in row]
         else:
-            f.write("".join(",".join(map(_field, row)) + "\n" for row in block))
+            raise ValueError(f"rows {lo}..{lo + len(block) - 1} are not all {width} fields wide")
+        f.write(line * len(block) % tuple(values))
 
 
 @contextlib.contextmanager
@@ -257,10 +255,10 @@ def _write_csv(path, header, rows) -> None:
     """Write a header line and ``rows`` (a 2-d array, a sequence of rows, or any sized
     object whose slices are one of these), each ending in "\\n".
 
-    None is written as an empty field.  Rows are formatted in blocks of
-    ``_BLOCK_ROWS``, so a large array never exists in memory as one list of
-    Python numbers or one string.  An array block is formatted by one
-    %-template: %r of a Python int or float is the same text as its str.
+    Every row is formatted by one %s template as wide as the header, None as
+    an empty field; a row of another width raises ValueError.  Rows are
+    formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists in
+    memory as one list of Python numbers or one string.
 
     A table of more than one block is split at block boundaries into one row range per CPU.  This
     process writes the first and :func:`_forked` children the others, appended in order; a row's text
@@ -272,7 +270,7 @@ def _write_csv(path, header, rows) -> None:
 
     def write_range(out, lo, hi):
         try:
-            _write_rows(out, rows, lo, hi)
+            _write_rows(out, rows, len(header), lo, hi)
             out.flush()
         except Exception as exc:
             os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
@@ -281,7 +279,7 @@ def _write_csv(path, header, rows) -> None:
     temp = dict(mode="w+", newline="", dir=os.path.dirname(os.path.abspath(path)))  # on the table's disk
     with _forked(path, cuts, write_range, **temp) as outs, open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        _write_rows(f, rows, 0, cuts[1])
+        _write_rows(f, rows, len(header), 0, cuts[1])
         for out in outs:
             shutil.copyfileobj(out, f)
 
@@ -356,7 +354,7 @@ def read_samples_csv(path) -> SampleSet:
     rows = _read_csv(path, lambda width: _names("x", width), float)
     if not len(rows) or len(rows) % 2 != 0:
         raise ValueError(f"{path}: expected an even, positive number of sample rows, got {len(rows)}")
-    return SampleSet(len(rows) // 2, rows)
+    return SampleSet(rows)
 
 
 class _OneBasedTriples:

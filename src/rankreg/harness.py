@@ -165,11 +165,11 @@ def realize_model(stream: RngStream, d: int, lambda_min: float, target_pe: float
     beta, mu = sample_ground_truth(stream.child("ground-truth"), d)
     sigma = make_covariance(stream.child("basis"), d, lambda_min)
     if target_pe == 0:
-        return ModelSpec(d, beta, mu, sigma, DeterministicLink()), None, None
+        return ModelSpec(beta, mu, sigma, DeterministicLink()), None, None
     law = ScoreDifferenceLaw.from_parameters(beta, sigma)
     alpha = solve_alpha_for_pe(target_pe, law)
     link = LogisticLink(alpha)
-    return ModelSpec(d, beta, mu, sigma, link), alpha, estimate_c1(link, law)
+    return ModelSpec(beta, mu, sigma, link), alpha, estimate_c1(link, law)
 
 
 def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):

@@ -49,7 +49,7 @@ def test_criterion_1_estimator_mean_recovers_scaled_weights(capsys):
     beta = np.array([1.0, -2.0])
     mu = np.array([0.5, -1.0])
     sigma = SpdMatrix(np.array([[1.0, 0.3], [0.3, 0.5]]))
-    spec = ModelSpec(2, beta, mu, sigma, LogisticLink(5.0))
+    spec = ModelSpec(beta, mu, sigma, LogisticLink(5.0))
     c1 = estimate_c1(spec.link, ScoreDifferenceLaw.from_parameters(beta, sigma))
     root = RngStream(20250801)
     hats = np.empty((500, 2))
@@ -77,7 +77,7 @@ def test_criterion_2_inverse_covariance_is_unbiased(capsys):
     acc = np.zeros((5, 5))
     for t in range(2000):
         features = sample_gaussian(stream.child("x", t), mu, sigma, 400)
-        acc += np.linalg.inv(estimate_covariance(SampleSet(200, features)).entries)
+        acc += np.linalg.inv(estimate_covariance(SampleSet(features)).entries)
     rel = np.linalg.norm(acc / 2000 - inv_true) / np.linalg.norm(inv_true)
     _report(
 capsys,
@@ -94,7 +94,7 @@ def test_criterion_3_quadrature_matches_simulation(capsys):
             oracle = 4.0 * link.derivative(s * z).mean()
             rel = abs(estimate_c1(link, ScoreDifferenceLaw(s)) - oracle) / oracle
             worst_c1 = max(worst_c1, rel)
-            spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[s * s / 2]])), link)
+            spec = ModelSpec(np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[s * s / 2]])), link)
             pool = generate_samples(root.child("pool", repr(a), repr(s)), spec, 100_000)
             data = generate_comparisons(root.child("cmp", repr(a), repr(s)), spec, pool, 1_000_000)
             dev = abs(flip_fraction(data, spec, pool) - estimate_pe(link, ScoreDifferenceLaw(s)))
@@ -116,7 +116,7 @@ def test_criterion_4_noise_targeting_round_trips(capsys):
         alpha = solve_alpha_for_pe(target, law)
         link = LogisticLink(alpha)
         worst_quad = max(worst_quad, abs(estimate_pe(link, law) - target))
-        spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), link)
+        spec = ModelSpec(np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), link)
         pool = generate_samples(root.child("pool", repr(target)), spec, 100_000)
         data = generate_comparisons(root.child("cmp", repr(target)), spec, pool, 1_000_000)
         worst_emp = max(worst_emp, abs(flip_fraction(data, spec, pool) - target))
@@ -210,7 +210,6 @@ def test_criterion_8_sample_demands_track_structure(capsys):
 def test_criterion_9_exactness_and_determinism(tmp_path, capsys):
     stream = RngStream(20250809)
     spec = ModelSpec(
-        4,
         np.array([1.0, -0.5, 2.0, 0.25]),
         np.zeros(4),
         SpdMatrix(np.diag([1.0, 0.5, 2.0, 1.5])),
@@ -229,7 +228,7 @@ def test_criterion_9_exactness_and_determinism(tmp_path, capsys):
     shuffled = ComparisonDataset(dataset.n, dataset.i[order], dataset.j[order], dataset.y[order])
     permuted = np.array_equal(estimate_beta(shuffled, samples), beta_hat)
 
-    scaled_samples = SampleSet(samples.n, 3.0 * samples.features)
+    scaled_samples = SampleSet(3.0 * samples.features)
     scaled_hat = estimate_beta(dataset, scaled_samples)
     scale_rel = float(np.max(np.abs(scaled_hat - beta_hat / 3.0) / np.abs(beta_hat / 3.0)))
 

@@ -101,7 +101,7 @@ def test_score_sigma_rejects_zero_weights():
 def test_score_sigma_matches_sampled_pair_variance():
     beta = np.array([0.8, -1.4, 0.3])
     sigma = SpdMatrix(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]]))
-    spec = ModelSpec(3, beta, np.ones(3), sigma, LogisticLink())
+    spec = ModelSpec(beta, np.ones(3), sigma, LogisticLink())
     law = ScoreDifferenceLaw.from_parameters(spec.beta, spec.sigma)
     x = sample_gaussian(RngStream(90), spec.mu, sigma, 2_000_000)
     s = (x[:1_000_000] - x[1_000_000:]) @ beta
@@ -193,7 +193,7 @@ def test_pe_matches_probit_closed_form(scale, sigma_s):
 
 def test_pe_matches_empirical_flip_fraction():
     # d=1 with variance sigma_s^2/2 puts the score-difference deviation at 1
-    spec = ModelSpec(1, np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), LogisticLink(1.0))
+    spec = ModelSpec(np.array([1.0]), np.zeros(1), SpdMatrix(np.array([[0.5]])), LogisticLink(1.0))
     samples = generate_samples(RngStream(111), spec, 100_000)
     dataset = generate_comparisons(RngStream(112), spec, samples, 1_000_000)
     assert abs(flip_fraction(dataset, spec, samples) - estimate_pe(spec.link, LAW_1)) <= 0.005

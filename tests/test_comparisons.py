@@ -37,7 +37,7 @@ finite_x = st.floats(-30.0, 30.0)
 
 def _model(d=2, beta=None, link=LogisticLink(1.0)):
     beta = np.ones(d) if beta is None else np.asarray(beta, dtype=float)
-    return ModelSpec(d, beta, np.zeros(d), SpdMatrix(np.eye(d)), link)
+    return ModelSpec(beta, np.zeros(d), SpdMatrix(np.eye(d)), link)
 
 
 # --- link contract ---------------------------------------------------------
@@ -94,26 +94,26 @@ def test_link_parameter_validation():
 
 
 def test_model_spec_validation():
+    assert ModelSpec(np.ones(2), np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink()).d == 2  # read from sigma
     with pytest.raises(ValueError):
-        ModelSpec(2, np.ones(3), np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
+        ModelSpec(np.ones(3), np.zeros(2), SpdMatrix(np.eye(2)), LogisticLink())
     with pytest.raises(ValueError):
-        ModelSpec(2, np.ones(2), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
+        ModelSpec(np.ones(2), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
     with pytest.raises(ValueError):
-        ModelSpec(3, np.ones(3), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
-    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
-        ModelSpec(0, np.ones(0), np.zeros(0), SpdMatrix(np.eye(1)), LogisticLink())
+        ModelSpec(np.ones(3), np.zeros(3), SpdMatrix(np.eye(2)), LogisticLink())
+    with pytest.raises(ValueError, match=r"beta has shape \(0,\), expected \(1,\)"):
+        ModelSpec(np.ones(0), np.zeros(0), SpdMatrix(np.eye(1)), LogisticLink())
 
 
 def test_sample_set_halves():
     rows = np.arange(12.0).reshape(6, 2)
-    s = SampleSet(3, rows)
-    assert s.d == 2
+    s = SampleSet(rows)
+    assert (s.n, s.d) == (3, 2)  # read from the rows
     assert np.array_equal(s.comparison_half, rows[:3])
     assert np.array_equal(s.covariance_half, rows[3:])
-    with pytest.raises(ValueError):
-        SampleSet(4, rows)  # needs 8 rows
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        SampleSet(0, rows[:0])
+    for bad in (rows[:5], rows[:0], rows[:, 0]):  # an odd row count, no rows, not 2-d
+        with pytest.raises(ValueError, match="features must have an even, positive number of rows"):
+            SampleSet(bad)
 
 
 def test_comparison_dataset_validation():
@@ -153,7 +153,7 @@ def test_generate_samples_mean():
 def test_deterministic_labels_follow_the_sign():
     spec = _model(beta=[1.0, 0.0], link=DeterministicLink())
     features = np.array([[3.0, 5.0], [0.0, -2.0], [0.0, 0.0], [0.0, 0.0]])
-    samples = SampleSet(2, features)  # scores are (3, 0)
+    samples = SampleSet(features)  # scores are (3, 0)
     data = generate_comparisons(RngStream(6), spec, samples, 5000)
     off_diagonal = data.i != data.j
     assert (data.y[off_diagonal & (data.i == 0)] == 1).all()
@@ -162,7 +162,7 @@ def test_deterministic_labels_follow_the_sign():
 
 def test_self_pairs_are_fair_coin_flips():
     spec = _model(link=DeterministicLink())
-    samples = SampleSet(1, np.zeros((2, 2)))
+    samples = SampleSet(np.zeros((2, 2)))
     data = generate_comparisons(RngStream(16), spec, samples, 100_000)
     assert (data.i == data.j).all()
     assert abs(data.y.mean()) <= 3 / math.sqrt(data.m)
@@ -171,7 +171,7 @@ def test_self_pairs_are_fair_coin_flips():
 def test_fixed_pair_label_rate_matches_the_link():
     # score difference of the (0, 1) pair is exactly 1
     spec = _model(beta=[1.0, 0.0])
-    samples = SampleSet(2, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    samples = SampleSet(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     data = generate_comparisons(RngStream(23), spec, samples, 4_000_000)
     pair = (data.i == 0) & (data.j == 1)
     rate = (data.y[pair] == 1).mean()
@@ -197,7 +197,7 @@ def test_negating_weights_mirrors_the_label_law():
 
 def test_flip_fraction_noiseless_and_negated():
     spec = _model(d=1, beta=[2.0], link=DeterministicLink())
-    samples = SampleSet(3, np.array([[0.0], [1.0], [2.0], [0.0], [0.0], [0.0]]))
+    samples = SampleSet(np.array([[0.0], [1.0], [2.0], [0.0], [0.0], [0.0]]))
     data = generate_comparisons(RngStream(52), spec, samples, 20_000)
     ties = 0.5 * (data.i == data.j).mean()  # self-pairs count half a flip
     assert flip_fraction(data, spec, samples) == ties
@@ -286,10 +286,10 @@ def test_parallel_write_reports_a_failed_child_and_reaps_it(tmp_path, monkeypatc
     parent_pid = os.getpid()
     real_write_rows = comparisons._write_rows
 
-    def write_rows(f, rows, start, stop):
+    def write_rows(*args):
         if os.getpid() != parent_pid:
             raise OSError("injected child fault")
-        real_write_rows(f, rows, start, stop)
+        real_write_rows(*args)
 
     # three parts: the first child's failure is raised while the second is still unreaped
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
@@ -309,10 +309,16 @@ def test_tables_of_one_block_never_fork(tmp_path, monkeypatch):
 
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", fork)
-    write_samples_csv(SampleSet(4096, np.ones((8192, 2))), tmp_path / "s.csv")
+    write_samples_csv(SampleSet(np.ones((8192, 2))), tmp_path / "s.csv")
     _write_csv(tmp_path / "t.csv", ["a", "b"], [[1.5, None]])
     assert read_samples_csv(tmp_path / "s.csv").n == 4096
     assert (tmp_path / "t.csv").read_text() == "a,b\n1.5,\n"
+
+
+def test_rows_of_another_width_raise(tmp_path):
+    # three fields then one fill two 2-wide rows, which one flat template would write without a word
+    with pytest.raises(ValueError, match="rows 0..1 are not all 2 fields wide"):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], [4]])
 
 
 SAMPLE_ERRORS = [
@@ -436,7 +442,7 @@ def test_parallel_read_falls_back_to_one_process_when_a_child_fails(tmp_path, mo
 
     features = np.random.default_rng(5).standard_normal((3 * 8192, 2))
     path = tmp_path / "s.csv"
-    write_samples_csv(SampleSet(len(features) // 2, features), path)
+    write_samples_csv(SampleSet(features), path)
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
     monkeypatch.setattr(np, "save", save)
     open_fds = len(os.listdir("/proc/self/fd"))
@@ -454,7 +460,7 @@ def test_parallel_read_falls_back_to_one_process_when_a_child_fails(tmp_path, mo
 
 def test_samples_csv_golden_bytes(tmp_path):
     path = tmp_path / "s.csv"
-    write_samples_csv(SampleSet(1, np.array([[-0.0, 1e-05], [1e16, 5e-324]])), path)
+    write_samples_csv(SampleSet(np.array([[-0.0, 1e-05], [1e16, 5e-324]])), path)
     assert path.read_bytes() == b"x_1,x_2\n-0.0,1e-05\n1e+16,5e-324\n"
 
 

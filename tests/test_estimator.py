@@ -35,7 +35,7 @@ from rankreg import (
 
 
 def _random_instance(seed, d=3, n=40, m=500):
-    spec = ModelSpec(d, np.arange(1, d + 1, dtype=float), np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(2.0))
+    spec = ModelSpec(np.arange(1, d + 1, dtype=float), np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(2.0))
     samples = generate_samples(RngStream(seed), spec, n)
     return samples, generate_comparisons(RngStream(seed + 1), spec, samples, m)
 
@@ -47,22 +47,22 @@ def test_covariance_hand_computed_1d():
     # second half {0, 2, 4, 6}: mean 3, squared deviations 9+1+1+9,
     # correction divisor 4 - 1 - 2 = 1
     features = np.array([[10.0], [11.0], [12.0], [13.0], [0.0], [2.0], [4.0], [6.0]])
-    cov = estimate_covariance(SampleSet(4, features))
+    cov = estimate_covariance(SampleSet(features))
     assert cov.entries[0, 0] == 20.0
     assert math.isclose(np.linalg.inv(cov.entries)[0, 0], 0.05, rel_tol=1e-14)
 
 
 def test_covariance_needs_spare_degrees_of_freedom():
     with pytest.raises(ValueError, match=r"need N > d \+ 2, got N=3, d=1"):
-        estimate_covariance(SampleSet(3, np.random.default_rng(0).normal(size=(6, 1))))
+        estimate_covariance(SampleSet(np.random.default_rng(0).normal(size=(6, 1))))
     with pytest.raises(ValueError, match="N=4, d=2"):
-        estimate_covariance(SampleSet(4, np.random.default_rng(0).normal(size=(8, 2))))
+        estimate_covariance(SampleSet(np.random.default_rng(0).normal(size=(8, 2))))
 
 
 def test_covariance_constant_rows_are_singular():
     features = np.vstack([np.random.default_rng(1).normal(size=(5, 2)), np.ones((5, 2))])
     with pytest.raises(np.linalg.LinAlgError):
-        estimate_covariance(SampleSet(5, features))
+        estimate_covariance(SampleSet(features))
 
 
 def test_ill_conditioned_trial_reports_an_angle_and_never_builds_the_inverse():
@@ -84,8 +84,8 @@ def test_covariance_uses_only_the_second_half():
     base = sample_gaussian(RngStream(77), np.zeros(2), SpdMatrix(np.eye(2)), 40)
     scrambled = base.copy()
     scrambled[:20] = 99.0
-    a = estimate_covariance(SampleSet(20, base))
-    b = estimate_covariance(SampleSet(20, scrambled))
+    a = estimate_covariance(SampleSet(base))
+    b = estimate_covariance(SampleSet(scrambled))
     assert np.array_equal(a.entries, b.entries)
 
 
@@ -96,7 +96,7 @@ def test_inverse_covariance_is_unbiased():
     total = np.zeros((d, d))
     for t in range(trials):
         x = sample_gaussian(RngStream(900, t), np.zeros(d), sigma, 2 * n)
-        total += np.linalg.inv(estimate_covariance(SampleSet(n, x)).entries)
+        total += np.linalg.inv(estimate_covariance(SampleSet(x)).entries)
     target = np.diag([0.5, 1.0, 2.0])
     relative = np.linalg.norm(total / trials - target) / np.linalg.norm(target)
     assert relative <= 0.05
@@ -111,7 +111,7 @@ def test_estimate_two_term_average_with_forced_identity():
     features[0] = (1.0, 0.0)
     features[2] = (0.0, 1.0)
     features[6:10] = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    samples = SampleSet(6, features)
+    samples = SampleSet(features)
     assert np.array_equal(estimate_covariance(samples).entries, np.eye(2))
     dataset = ComparisonDataset(6, [0, 2], [1, 1], [1, -1])
     assert np.array_equal(estimate_beta(dataset, samples), [0.5, -0.5])
@@ -122,7 +122,7 @@ def test_estimate_two_term_average_with_forced_identity():
 def test_estimate_matches_a_cholesky_solve(d, lambda_min):
     stream = RngStream(31, d)
     sigma = make_covariance(stream.child("sigma"), d, lambda_min)
-    spec = ModelSpec(d, np.ones(d), np.zeros(d), sigma, LogisticLink(1.0))
+    spec = ModelSpec(np.ones(d), np.zeros(d), sigma, LogisticLink(1.0))
     samples = generate_samples(stream.child("samples"), spec, 20 * d)
     dataset = generate_comparisons(stream.child("comparisons"), spec, samples, 40 * d)
     y = dataset.y.astype(float)
@@ -156,11 +156,11 @@ def test_estimate_scale_equivariance():
     samples, dataset = _random_instance(30)
     base = estimate_beta(dataset, samples)
 
-    doubled = SampleSet(samples.n, samples.features * 2.0)
+    doubled = SampleSet(samples.features * 2.0)
     scaled = estimate_beta(dataset, doubled)
     assert np.array_equal(scaled, base / 2.0)  # power-of-two scaling is exact
 
-    tripled = SampleSet(samples.n, samples.features * 3.0)
+    tripled = SampleSet(samples.features * 3.0)
     scaled = estimate_beta(dataset, tripled)
     assert np.linalg.norm(scaled - base / 3.0) <= 1e-10 * np.linalg.norm(base)
 
@@ -172,7 +172,7 @@ def test_estimate_validates_inputs():
         estimate_beta(small, samples)
     # compared rows near 1e300 against a covariance near 1e-20: the whitened sum overflows
     rng = np.random.default_rng(3)
-    huge = SampleSet(8, np.vstack([1e300 * rng.uniform(0.5, 1.0, (8, 2)), 1e-10 * rng.normal(size=(8, 2))]))
+    huge = SampleSet(np.vstack([1e300 * rng.uniform(0.5, 1.0, (8, 2)), 1e-10 * rng.normal(size=(8, 2))]))
     with pytest.raises(ValueError, match="beta_hat has non-finite entries"):
         estimate_beta(ComparisonDataset(8, [0, 1], [2, 3], [1, -1]), huge)
 
@@ -184,7 +184,7 @@ def test_estimator_mean_tracks_the_shrunk_weights():
 
     d, n, m, trials = 5, 300, 5000, 200
     beta = np.array([1.0, -0.5, 0.25, 0.0, 2.0])
-    spec = ModelSpec(d, beta, np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(5.0))
+    spec = ModelSpec(beta, np.zeros(d), SpdMatrix(np.eye(d)), LogisticLink(5.0))
     law = ScoreDifferenceLaw.from_parameters(beta, spec.sigma)
     c1 = estimate_c1(spec.link, law)
     draws = np.empty((trials, d))
