@@ -22,6 +22,7 @@ from .comparisons import (
     ModelSpec,
     _names,
     _read_csv,
+    _staged,
     _write_csv,
     read_comparisons_csv,
     read_samples_csv,
@@ -95,9 +96,11 @@ def cmd_generate(args) -> int:
     stream = RngStream(args.seed)
     model, alpha, c1 = realize_model(stream, args.d, args.lambda_min, args.pe)
     samples, dataset = simulate(stream, model, args.n, args.m)
-    write_samples_csv(samples, f"{args.out_prefix}.samples.csv")
-    write_comparisons_csv(dataset, f"{args.out_prefix}.comparisons.csv")
-    write_truth_csv(model, alpha, c1, f"{args.out_prefix}.truth.csv")
+    paths = [f"{args.out_prefix}.{kind}.csv" for kind in ("samples", "comparisons", "truth")]
+    with _staged(*paths) as (samples_path, comparisons_path, truth_path):  # the three files commit together
+        write_samples_csv(samples, samples_path)
+        write_comparisons_csv(dataset, comparisons_path)
+        write_truth_csv(model, alpha, c1, truth_path)
     return 0
 
 

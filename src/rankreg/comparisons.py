@@ -12,6 +12,7 @@ import contextlib
 import io
 import os
 import shutil
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -234,7 +235,11 @@ def _forked(path, cuts, job, **temp):
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             outs.append(tempfile.TemporaryFile(**temp))
             # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no lock, and leaves by os._exit without
-            # flushing this process's buffers.  Python >= 3.12 warns (DeprecationWarning) at a fork while they run.
+            # flushing this process's buffers.  Python 3.12.1 and 3.13 warn (DeprecationWarning) at os.fork while any
+            # other OS thread exists, one Python did not start too, so numpy's OpenBLAS threads count.  Under
+            # -W error::DeprecationWarning the fork still succeeds and prints nothing; -W default or always prints
+            # one line per fork.  That was measured with a Python thread; numpy's own threads and pytest's warning
+            # capture on 3.12+ are unverified.
             pid = os.fork()
             if pid == 0:
                 try:
@@ -251,6 +256,43 @@ def _forked(path, cuts, job, **temp):
             out.close()
 
 
+@contextlib.contextmanager
+def _staged(*paths):
+    """Yield a path to write for each of ``paths``; once the ``with`` block completes, commit each onto its path.
+
+    ``os.stat``, which follows links, decides.  A regular file or a missing path is staged in a new file beside it
+    (beside a symlink's final target) with the mode ``open(path, "w")`` would leave, and every stage is renamed
+    onto its target only after the block, so a failure leaves each old file or none, and no stage.  A FIFO or a
+    device is yielded as itself and written in place: a rename would replace the node, not feed it.
+    """
+    stages, written = {}, []  # stages maps each stage to the file it replaces
+    try:
+        for path in paths:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                written.append(path)
+                continue
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            stage = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less the umask, as open() does
+            stages[stage] = target
+            written.append(stage)
+            if mode is not None:
+                os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
+        yield written
+        for stage, target in stages.items():
+            os.replace(stage, target)
+    except BaseException:
+        for stage in stages:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(stage)
+        raise
+
+
 def _write_csv(path, header, rows) -> None:
     """Write a header line and ``rows`` (a 2-d array, a sequence of rows, or any sized
     object whose slices are one of these), each ending in "\\n".
@@ -258,7 +300,8 @@ def _write_csv(path, header, rows) -> None:
     Every row is formatted by one %s template as wide as the header, None as
     an empty field; a row of another width raises ValueError.  Rows are
     formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists in
-    memory as one list of Python numbers or one string.
+    memory as one list of Python numbers or one string.  The table is
+    committed whole through :func:`_staged`.
 
     A table of more than one block is split at block boundaries into one row range per CPU.  This
     process writes the first and :func:`_forked` children the others, appended in order; a row's text
@@ -276,12 +319,13 @@ def _write_csv(path, header, rows) -> None:
             os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
             raise
 
-    temp = dict(mode="w+", newline="", dir=os.path.dirname(os.path.abspath(path)))  # on the table's disk
-    with _forked(path, cuts, write_range, **temp) as outs, open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        _write_rows(f, rows, len(header), 0, cuts[1])
-        for out in outs:
-            shutil.copyfileobj(out, f)
+    with _staged(path) as (stage,):
+        temp = dict(mode="w+", newline="", dir=os.path.dirname(os.path.abspath(stage)))  # on the table's disk
+        with _forked(path, cuts, write_range, **temp) as outs, open(stage, "w", newline="") as f:
+            f.write(",".join(header) + "\n")
+            _write_rows(f, rows, len(header), 0, cuts[1])
+            for out in outs:
+                shutil.copyfileobj(out, f)
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:
@@ -322,8 +366,9 @@ def _read_csv(path, header, dtype) -> np.ndarray:
         if names != expected:
             raise ValueError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
         try:  # f.tell() is the body's byte offset, or on a pipe raises, or after a lone "\r" is too large to seek to
+            offset = f.tell()  # before a second open, which on a FIFO would wait for a writer that may be gone
             with open(path, "rb") as fb:
-                start = fb.seek(f.tell())
+                start = fb.seek(offset)
                 block = sum(len(line) for _, line in zip(range(_BLOCK_ROWS), fb))  # bytes in the first block of lines
                 size = fb.seek(0, os.SEEK_END) - start
                 parts = min(_cpu_count(), -(-size // block)) if block else 1

@@ -25,6 +25,7 @@ from .comparisons import (
     DeterministicLink,
     LogisticLink,
     ModelSpec,
+    _staged,
     _write_csv,
     generate_comparisons,
     generate_samples,
@@ -299,10 +300,12 @@ def write_results(result: SweepResult, path_prefix) -> None:
 
     Failed trials keep their config columns and leave every metric column
     empty, angle included, which distinguishes them from noiseless rows
-    (empty norm_error and c1 but a present angle).
+    (empty norm_error and c1 but a present angle).  The two files commit
+    together: both are written before either replaces an older one.
     """
-    _write_csv(f"{path_prefix}.trials.csv", TRIALS_HEADER.split(","), [_trial_row(row) for row in result.rows])
-    _write_csv(f"{path_prefix}.agg.csv", AGG_HEADER.split(","), [astuple(agg) for agg in result.aggregates])
+    with _staged(f"{path_prefix}.trials.csv", f"{path_prefix}.agg.csv") as (trials_path, agg_path):
+        _write_csv(trials_path, TRIALS_HEADER.split(","), [_trial_row(row) for row in result.rows])
+        _write_csv(agg_path, AGG_HEADER.split(","), [astuple(agg) for agg in result.aggregates])
 
 
 # ---------------------------------------------------------------------------

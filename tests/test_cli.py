@@ -113,6 +113,23 @@ def test_generate_rejects_a_spectrum_floor_outside_the_unit_interval(tmp_path, c
     assert not list(tmp_path.iterdir())
 
 
+def test_a_failed_generate_leaves_the_older_set_or_none(tmp_path, monkeypatch, capsys):
+    def write_truth_csv(*args):
+        raise OSError("injected truth fault")
+
+    monkeypatch.setattr(rankreg.cli, "write_truth_csv", write_truth_csv)
+    argv = ["generate", "--d", "2", "--n", "10", "--m", "5", "--seed", "1", "--out-prefix"]
+    assert main([*argv, str(tmp_path / "new")]) == 1
+    assert "injected truth fault" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no samples or comparisons file without its truth, and no stage
+    monkeypatch.undo()
+    old = _generate(tmp_path, seed=0, prefix="old")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(rankreg.cli, "write_truth_csv", write_truth_csv)
+    assert main([*argv, str(old)]) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("pe,lam,seed", [(0.0, 1.0, 3), (0.2, 0.3, 8)])
 def test_generate_writes_what_simulate_draws(tmp_path, pe, lam, seed):
     d, n, m = 3, 40, 150

@@ -1,8 +1,13 @@
 """Tests for link functions, comparison generation, and the CSV formats."""
 
+import contextlib
 import math
 import os
 import re
+import shutil
+import signal
+import stat
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -33,6 +38,22 @@ from rankreg.cli import main
 from rankreg.comparisons import _OneBasedTriples, _expit, _read_csv, _write_csv
 
 finite_x = st.floats(-30.0, 30.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block once ``seconds`` pass, so a blocked open or read fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still blocked after {seconds} s")  # not an OSError, which readers handle
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _model(d=2, beta=None, link=LogisticLink(1.0)):
@@ -294,13 +315,19 @@ def test_parallel_write_reports_a_failed_child_and_reaps_it(tmp_path, monkeypatc
     # three parts: the first child's failure is raised while the second is still unreaped
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
     monkeypatch.setattr(comparisons, "_write_rows", write_rows)
-    path = tmp_path / "s.csv"
-    with pytest.raises(OSError, match=f"{path}: writer process"):
-        _write_csv(path, ["x_1"], np.zeros((3 * 8192, 1)))
-    assert "injected child fault" in capfd.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    for old in (None, b"x_1\n0.5\n"):  # no file before, then an older table
+        (tmp_path / "out").mkdir()
+        path = tmp_path / "out" / "s.csv"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(OSError, match=f"{path}: writer process"):
+            _write_csv(path, ["x_1"], np.zeros((3 * 8192, 1)))
+        assert "injected child fault" in capfd.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # no truncated table: the older file keeps its bytes, or there is none, and no stage is left
+        assert [p.read_bytes() for p in path.parent.iterdir()] == ([] if old is None else [old])
+        shutil.rmtree(path.parent)
 
 
 def test_tables_of_one_block_never_fork(tmp_path, monkeypatch):
@@ -319,6 +346,28 @@ def test_rows_of_another_width_raise(tmp_path):
     # three fields then one fill two 2-wide rows, which one flat template would write without a word
     with pytest.raises(ValueError, match="rows 0..1 are not all 2 fields wide"):
         _write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], [4]])
+    assert not list(tmp_path.iterdir())
+
+
+def test_committed_tables_get_the_mode_and_target_that_open_gives(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        with open(tmp_path / "opened.csv", "w"):
+            pass
+        _write_csv(tmp_path / "new.csv", ["a"], [[1]])
+        (tmp_path / "old.csv").write_text("a\n0\n")
+        os.chmod(tmp_path / "old.csv", 0o604)
+        _write_csv(tmp_path / "old.csv", ["a"], [[1]])
+        os.symlink("old.csv", tmp_path / "link.csv")
+        _write_csv(tmp_path / "link.csv", ["a"], [[2]])
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode) == 0o640
+    assert stat.S_IMODE(os.stat(tmp_path / "opened.csv").st_mode) == 0o640
+    assert stat.S_IMODE(os.stat(tmp_path / "old.csv").st_mode) == 0o604  # open(path, "w") keeps an existing mode
+    assert os.readlink(tmp_path / "link.csv") == "old.csv"  # the link stays; its target is replaced
+    assert (tmp_path / "old.csv").read_text() == "a\n2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv", "opened.csv"]
 
 
 SAMPLE_ERRORS = [
@@ -452,6 +501,52 @@ def test_parallel_read_falls_back_to_one_process_when_a_child_fails(tmp_path, mo
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == open_fds  # every temporary file is closed
     assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def _fifo(tmp_path, peer):
+    """A new FIFO and a started thread that runs ``peer(path)`` on it, to open its other end."""
+    path = tmp_path / "fifo.csv"
+    os.mkfifo(path)
+    thread = threading.Thread(target=peer, args=(path,))
+    thread.start()
+    return path, thread
+
+
+@pytest.mark.parametrize("pairs", [1, 3 * 8192])
+def test_tables_read_through_a_fifo_match_a_file(tmp_path, monkeypatch, pairs):
+    # a pipe cannot tell its offset, so the reader parses the body in one process; a small table is
+    # written and closed before the reader has read it, so nothing may wait for another writer
+    features = np.random.default_rng(6).standard_normal((2 * pairs, 3))
+    dataset = ComparisonDataset(pairs, np.arange(pairs), np.arange(pairs)[::-1], np.ones(pairs))
+    write_samples_csv(SampleSet(features), tmp_path / "s.csv")
+    write_comparisons_csv(dataset, tmp_path / "c.csv")
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 2)
+    for name, read in (("s.csv", read_samples_csv), ("c.csv", lambda path: read_comparisons_csv(path, pairs))):
+        data = (tmp_path / name).read_bytes()
+        fifo, writer = _fifo(tmp_path, lambda path: path.write_bytes(data))
+        with _deadline(20):
+            got, want = read(fifo), read(tmp_path / name)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        for field in ("features",) if name == "s.csv" else ("i", "j", "y"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        fifo.unlink()
+
+
+def test_a_table_written_into_a_fifo_matches_a_file(tmp_path, monkeypatch):
+    # a FIFO is written in place: a rename would replace the node that the reader holds open
+    features = np.random.default_rng(7).standard_normal((3 * 8192, 2))
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 2)
+    write_samples_csv(SampleSet(features), tmp_path / "s.csv")
+    got = []
+    fifo, reader = _fifo(tmp_path, lambda path: got.append(path.read_bytes()))
+    with _deadline(20):
+        write_samples_csv(SampleSet(features), fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "s.csv").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "s.csv"]
 
 
 # --- golden bytes ------------------------------------------------------------

@@ -371,6 +371,24 @@ def test_write_results_reruns_identically_except_wall_time(tmp_path):
     assert masked(tmp_path / "a.trials.csv") == masked(tmp_path / "b.trials.csv")
 
 
+def test_write_results_commits_both_files_or_neither(tmp_path, monkeypatch):
+    result = run_sweep(SweepSpec(BASE, "n", (30,), "n_log_n"))
+    write_results(result, tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_write_csv = harness._write_csv
+
+    def write_csv(path, header, rows):
+        if header == AGG_HEADER.split(","):
+            raise OSError("injected agg fault")
+        real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(harness, "_write_csv", write_csv)
+    for prefix in ("out", "new"):
+        with pytest.raises(OSError, match="injected agg fault"):
+            write_results(result, tmp_path / prefix)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_write_results_empty_sweep(tmp_path):
     write_results(run_sweep(SweepSpec(BASE, "n", (), "n_log_n")), tmp_path / "out")
     assert _lines(tmp_path / "out.trials.csv") == [TRIALS_HEADER]
