@@ -110,7 +110,10 @@ def cmd_estimate(args) -> int:
     model, _, c1 = (None, None, None) if args.truth is None else read_truth_csv(args.truth)
     if model is not None and model.d != samples.d:
         raise ValueError(f"{args.truth}: truth has d={model.d} but {args.samples} has d={samples.d}")
-    beta_hat = estimate_beta(dataset, samples)
+    try:
+        beta_hat = estimate_beta(dataset, samples)
+    except ValueError as exc:  # too few covariance rows, a singular half or overflow: the samples are at fault
+        raise ValueError(f"{args.samples}: {exc}") from exc
     write_estimate_csv(beta_hat, samples.n, dataset.m, args.out)
     print("beta_hat=" + ",".join(repr(float(v)) for v in beta_hat))
     if model is not None:

@@ -212,15 +212,15 @@ def _write_rows(f, rows, width: int, start: int, stop: int) -> None:
             values = ["" if value is None else value for row in block for value in row]
         else:
             raise ValueError(f"rows {lo}..{lo + len(block) - 1} are not all {width} fields wide")
-        f.write(line * len(block) % tuple(values))
+        f.write((line * len(block) % tuple(values)).encode())
 
 
 @contextlib.contextmanager
-def _forked(path, cuts, job, **temp):
-    """Run ``job(out, lo, hi)``, which flushes ``out = tempfile.TemporaryFile(**temp)``, in a forked child for each
-    range ``cuts[k]..cuts[k + 1]`` but the first.  The caller does the first range in the ``with`` block, then iterates
-    what it yields: each child's file, rewound, once it has exited, in range order.  A job that raises exits 1,
-    silently; a non-zero exit raises OSError naming ``path``.  Every child is reaped and every file closed."""
+def _forked(path, cuts, job):
+    """Run ``job(out, lo, hi)`` in a forked child for each range ``cuts[k]..cuts[k + 1]`` but the first; ``out`` is a
+    binary ``tempfile.TemporaryFile()`` in the default temporary directory, flushed after the job.  The caller does the
+    first range in the ``with`` block, then iterates the children's files, each rewound once its child has exited, in
+    range order.  A job that raises exits 1, silently, and OSError naming ``path`` is raised; all are reaped, closed."""
     outs, pids = [], []  # one temporary file per child; pids not yet reaped, in range order
 
     def reaped(out):
@@ -233,7 +233,7 @@ def _forked(path, cuts, job, **temp):
 
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            outs.append(tempfile.TemporaryFile(**temp))
+            outs.append(tempfile.TemporaryFile())
             # Safe beside numpy's BLAS threads: the child calls no BLAS, takes no lock, and leaves by os._exit without
             # flushing this process's buffers.  Python 3.12.1 and 3.13 warn (DeprecationWarning) at os.fork while any
             # other OS thread exists, one Python did not start too, so numpy's OpenBLAS threads count.  Under
@@ -244,6 +244,7 @@ def _forked(path, cuts, job, **temp):
             if pid == 0:
                 try:
                     job(outs[-1], lo, hi)
+                    outs[-1].flush()
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -256,41 +257,53 @@ def _forked(path, cuts, job, **temp):
             out.close()
 
 
+_LIVE = {}  # each stage that a _staged block has open -> the path its caller gave
+
+
 @contextlib.contextmanager
 def _staged(*paths):
     """Yield a path to write for each of ``paths``; once the ``with`` block completes, commit each onto its path.
 
     ``os.stat``, which follows links, decides.  A regular file or a missing path is staged in a new file beside it
     (beside a symlink's final target) with the mode ``open(path, "w")`` would leave, and every stage is renamed
-    onto its target only after the block, so a failure leaves each old file or none, and no stage.  A FIFO or a
-    device is yielded as itself and written in place: a rename would replace the node, not feed it.
+    onto its target only after the block, so a failure leaves each old file or none, and no stage.  A FIFO, a
+    device, or a stage of an enclosing block, which that block commits, is yielded as itself: a rename would
+    replace the node, not feed it, and each file of a set is staged once.  An OSError names the caller's path.
     """
-    stages, written = {}, []  # stages maps each stage to the file it replaces
+    stages, written = {}, []  # stages maps each stage this block made to the file it replaces
     try:
         for path in paths:
             try:
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
                 mode = None
-            if mode is not None and not stat.S_ISREG(mode):
+            if path in _LIVE or mode is not None and not stat.S_ISREG(mode):
                 written.append(path)
                 continue
             target = os.path.realpath(path)
             head, tail = os.path.split(target)
             stage = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-            os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less the umask, as open() does
-            stages[stage] = target
+            try:
+                os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less the umask, as open() does
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+            stages[stage], _LIVE[stage] = target, os.fspath(path)
             written.append(stage)
             if mode is not None:
                 os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
         yield written
         for stage, target in stages.items():
             os.replace(stage, target)
-    except BaseException:
+    except BaseException as exc:
         for stage in stages:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(stage)
+        if isinstance(exc, OSError) and exc.filename in _LIVE:
+            raise OSError(exc.errno, exc.strerror, _LIVE[exc.filename]) from None
         raise
+    finally:
+        for stage in stages:
+            del _LIVE[stage]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -301,12 +314,14 @@ def _write_csv(path, header, rows) -> None:
     an empty field; a row of another width raises ValueError.  Rows are
     formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists in
     memory as one list of Python numbers or one string.  The table is
-    committed whole through :func:`_staged`.
+    committed whole through :func:`_staged`; its messages name the path the
+    caller gave, never a stage, also when ``path`` is an enclosing set's stage.
 
     A table of more than one block is split at block boundaries into one row range per CPU.  This
     process writes the first and :func:`_forked` children the others, appended in order; a row's text
-    depends only on the row.  A failed child prints its error, and OSError naming ``path`` is raised.
+    depends only on the row.  A failed child prints its error, and OSError naming that path is raised.
     """
+    name = _LIVE.get(path, path)
     blocks = -(-len(rows) // _BLOCK_ROWS)
     parts = max(1, min(_cpu_count(), blocks))
     cuts = [min(len(rows), k * blocks // parts * _BLOCK_ROWS) for k in range(parts + 1)]
@@ -314,18 +329,15 @@ def _write_csv(path, header, rows) -> None:
     def write_range(out, lo, hi):
         try:
             _write_rows(out, rows, len(header), lo, hi)
-            out.flush()
         except Exception as exc:
-            os.write(2, f"{path}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
+            os.write(2, f"{name}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
             raise
 
-    with _staged(path) as (stage,):
-        temp = dict(mode="w+", newline="", dir=os.path.dirname(os.path.abspath(stage)))  # on the table's disk
-        with _forked(path, cuts, write_range, **temp) as outs, open(stage, "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            _write_rows(f, rows, len(header), 0, cuts[1])
-            for out in outs:
-                shutil.copyfileobj(out, f)
+    with _staged(path) as (stage,), _forked(name, cuts, write_range) as outs, open(stage, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        _write_rows(f, rows, len(header), 0, cuts[1])
+        for out in outs:
+            shutil.copyfileobj(out, f)
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:
@@ -373,7 +385,7 @@ def _read_csv(path, header, dtype) -> np.ndarray:
                 size = fb.seek(0, os.SEEK_END) - start
                 parts = min(_cpu_count(), -(-size // block)) if block else 1
                 cuts = [start] + [fb.seek(start + k * size // parts) + len(fb.readline()) for k in range(1, parts + 1)]
-            with _forked(path, cuts, lambda out, lo, hi: np.save(out, parse(lo, hi)), mode="w+b", buffering=0) as outs:
+            with _forked(path, cuts, lambda out, lo, hi: np.save(out, parse(lo, hi))) as outs:
                 rows = np.concatenate([parse(cuts[0], cuts[1]), *(np.load(out) for out in outs)])
         except (ValueError, OSError):  # a child tells a failed parse by its exit status alone
             try:

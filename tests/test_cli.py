@@ -7,6 +7,7 @@ so coverage and tracebacks stay usable.
 
 import inspect
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,75 @@ def test_a_failed_generate_leaves_the_older_set_or_none(tmp_path, monkeypatch, c
     monkeypatch.setattr(rankreg.cli, "write_truth_csv", write_truth_csv)
     assert main([*argv, str(old)]) == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_each_file_of_a_set_is_staged_once(tmp_path, monkeypatch):
+    # a table written into generate's or write_results' set is committed by the set, not staged again
+    made, renamed = [], []
+    real_open, real_replace = os.open, os.replace
+
+    def counting_open(path, flags, *args):
+        if flags & os.O_CREAT and flags & os.O_EXCL:
+            made.append(path)
+        return real_open(path, flags, *args)
+
+    def counting_replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "replace", counting_replace)
+    _generate(tmp_path)
+    assert (len(made), sorted(renamed)) == (3, ["out.comparisons.csv", "out.samples.csv", "out.truth.csv"])
+    made.clear()
+    renamed.clear()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("d = 2\nswept_parameter = n\ngrid = 30\nrepetitions = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out-prefix", str(tmp_path / "sw")]) == 0
+    assert (len(made), sorted(renamed)) == (2, ["sw.agg.csv", "sw.trials.csv"])
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_a_failed_writer_child_in_generate_names_the_file_given(tmp_path, monkeypatch, capfd):
+    parent_pid = os.getpid()
+    real_write_rows = rankreg.comparisons._write_rows
+
+    def write_rows(*args):
+        if os.getpid() != parent_pid:
+            raise OSError("injected child fault")
+        real_write_rows(*args)
+
+    # 20,000 sample rows are three blocks: this process writes the first, one child the other two
+    monkeypatch.setattr(rankreg.comparisons, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(rankreg.comparisons, "_write_rows", write_rows)
+    prefix = tmp_path / "out"
+    assert main(["generate", "--d", "2", "--n", "10000", "--m", "5", "--out-prefix", str(prefix)]) == 1
+    child, error = capfd.readouterr().err.splitlines()
+    assert child == f"{prefix}.samples.csv: rows 8192..19999: OSError: injected child fault"
+    assert error.startswith(f"error: {prefix}.samples.csv: writer process ")
+    assert not list(tmp_path.iterdir())  # no set and no stage
+
+
+@pytest.mark.parametrize(
+    "argv,given",
+    [
+        (["generate", "--d", "2", "--n", "10", "--m", "5", "--out-prefix", "missing/out"], "missing/out.samples.csv"),
+        (
+            ["estimate", "--samples=out.samples.csv", "--comparisons=out.comparisons.csv", "--out=missing/b.csv"],
+            "missing/b.csv",
+        ),
+        (["sweep", "--config", "sweep.cfg", "--out-prefix", "missing/s"], "missing/s.trials.csv"),
+    ],
+    ids=["generate", "estimate", "sweep"],
+)
+def test_a_missing_directory_is_reported_by_the_path_given(tmp_path, monkeypatch, capsys, argv, given):
+    monkeypatch.chdir(tmp_path)
+    _generate(tmp_path)
+    (tmp_path / "sweep.cfg").write_text("d = 2\nswept_parameter = n\ngrid = 30\nrepetitions = 1\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{given}'\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("pe,lam,seed", [(0.0, 1.0, 3), (0.2, 0.3, 8)])
@@ -321,7 +391,7 @@ def test_estimate_needs_enough_covariance_rows(tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert capsys.readouterr().err == "error: need N > d + 2, got N=5, d=3\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'out.samples.csv'}: need N > d + 2, got N=5, d=3\n"
 
 
 def test_estimate_reports_a_singular_covariance_half(tmp_path, capsys):
@@ -339,7 +409,7 @@ def test_estimate_reports_a_singular_covariance_half(tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "bh.csv").exists()
 
 

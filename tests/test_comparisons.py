@@ -349,6 +349,14 @@ def test_rows_of_another_width_raise(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_table_that_cannot_be_staged_is_named_as_given(tmp_path):
+    path = tmp_path / "missing" / "t.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        _write_csv(path, ["a"], [[1]])
+    assert str(caught.value) == f"[Errno 2] No such file or directory: '{path}'"
+    assert not list(tmp_path.iterdir())
+
+
 def test_committed_tables_get_the_mode_and_target_that_open_gives(tmp_path):
     mask = os.umask(0o027)
     try:
@@ -547,6 +555,44 @@ def test_a_table_written_into_a_fifo_matches_a_file(tmp_path, monkeypatch):
     assert got == [(tmp_path / "s.csv").read_bytes()]
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "s.csv"]
+
+
+def test_a_table_written_into_a_fifo_creates_no_file_beside_it(tmp_path, monkeypatch):
+    # forked writers keep their rows in the default temporary directory, so a FIFO in a directory that refuses new
+    # files can still be written
+    created, real_open = [], os.open
+
+    def recording_open(path, flags, *args):
+        if flags & os.O_CREAT or flags & os.O_TMPFILE == os.O_TMPFILE:
+            created.append(os.fspath(path))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "open", recording_open)
+    got = []
+    fifo, reader = _fifo(tmp_path, lambda path: got.append(path.read_bytes()))
+    with _deadline(20):
+        write_samples_csv(SampleSet(np.ones((3 * 8192, 2))), fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [b"x_1,x_2\n" + b"1.0,1.0\n" * (3 * 8192)]
+    assert created  # the children's temporary files, made in this process before each fork
+    assert not [p for p in created if str(tmp_path) in (p, os.path.dirname(p))]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo.csv"]
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_reader_accepts_crlf_lone_cr_and_a_missing_final_newline(tmp_path, monkeypatch, parts):
+    features = np.random.default_rng(8).standard_normal((3 * 8192, 2))
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(features), path)
+    lf = path.read_bytes()
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
+    want = read_samples_csv(path).features.tobytes()
+    assert want == features.tobytes()
+    for variant in (lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r"), lf[:-1]):
+        path.write_bytes(variant)
+        assert read_samples_csv(path).features.tobytes() == want
 
 
 # --- golden bytes ------------------------------------------------------------
