@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import shutil
 import stat
@@ -216,20 +217,17 @@ def _write_rows(f, rows, width: int, start: int, stop: int) -> None:
 
 
 @contextlib.contextmanager
-def _forked(path, cuts, job):
+def _forked(cuts, job):
     """Run ``job(out, lo, hi)`` in a forked child for each range ``cuts[k]..cuts[k + 1]`` but the first; ``out`` is a
-    binary ``tempfile.TemporaryFile()`` in the default temporary directory, flushed after the job.  The caller does the
-    first range in the ``with`` block, then iterates the children's files, each rewound once its child has exited, in
-    range order.  A job that raises exits 1, silently, and OSError naming ``path`` is raised; all are reaped, closed."""
+    binary ``tempfile.TemporaryFile()`` in the default temporary directory, flushed after the job.  What is yielded
+    gives for each range in order the child's file, rewound once the child exited, or None for a range the caller does
+    itself: the first, or one whose child exited non-zero (a job that raises exits 1, silently).  All are reaped."""
     outs, pids = [], []  # one temporary file per child; pids not yet reaped, in range order
 
     def reaped(out):
-        pid, status = os.waitpid(pids[0], 0)
-        del pids[0]
-        if status:
-            raise OSError(f"{path}: writer process {pid} exited with status {os.waitstatus_to_exitcode(status)}")
+        _, status = os.waitpid(pids.pop(0), 0)
         out.seek(0)
-        return out
+        return None if status else out
 
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
@@ -249,7 +247,7 @@ def _forked(path, cuts, job):
                 finally:
                     os._exit(1)
             pids.append(pid)
-        yield map(reaped, outs)
+        yield itertools.chain([None], map(reaped, outs))
     finally:
         for pid in pids:
             os.waitpid(pid, 0)
@@ -257,7 +255,8 @@ def _forked(path, cuts, job):
             out.close()
 
 
-_LIVE = {}  # each stage that a _staged block has open -> the path its caller gave
+class _Stage(str):
+    """The path of a stage that :func:`_staged` made; its attribute ``given`` is the path its caller gave."""
 
 
 @contextlib.contextmanager
@@ -266,9 +265,9 @@ def _staged(*paths):
 
     ``os.stat``, which follows links, decides.  A regular file or a missing path is staged in a new file beside it
     (beside a symlink's final target) with the mode ``open(path, "w")`` would leave, and every stage is renamed
-    onto its target only after the block, so a failure leaves each old file or none, and no stage.  A FIFO, a
-    device, or a stage of an enclosing block, which that block commits, is yielded as itself: a rename would
-    replace the node, not feed it, and each file of a set is staged once.  An OSError names the caller's path.
+    onto its target only after the block, so a failure while writing leaves each old file or none, and no stage.  A
+    FIFO, a device, or a :class:`_Stage` of an enclosing block, which that block commits, is yielded as itself: a rename
+    would replace the node, not feed it.  An OSError whose filename is a stage is re-raised naming the caller's path.
     """
     stages, written = {}, []  # stages maps each stage this block made to the file it replaces
     try:
@@ -277,20 +276,17 @@ def _staged(*paths):
                 mode = os.stat(path).st_mode
             except FileNotFoundError:
                 mode = None
-            if path in _LIVE or mode is not None and not stat.S_ISREG(mode):
-                written.append(path)
-                continue
-            target = os.path.realpath(path)
-            head, tail = os.path.split(target)
-            stage = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-            try:
+            stage = path
+            if not isinstance(path, _Stage) and (mode is None or stat.S_ISREG(mode)):
+                target = os.path.realpath(path)
+                head, tail = os.path.split(target)
+                stage = _Stage(os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp"))
+                stage.given = os.fspath(path)
                 os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less the umask, as open() does
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-            stages[stage], _LIVE[stage] = target, os.fspath(path)
+                stages[stage] = target
+                if mode is not None:
+                    os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
             written.append(stage)
-            if mode is not None:
-                os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
         yield written
         for stage, target in stages.items():
             os.replace(stage, target)
@@ -298,12 +294,9 @@ def _staged(*paths):
         for stage in stages:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(stage)
-        if isinstance(exc, OSError) and exc.filename in _LIVE:
-            raise OSError(exc.errno, exc.strerror, _LIVE[exc.filename]) from None
+        if isinstance(exc, OSError) and isinstance(exc.filename, _Stage):
+            raise OSError(exc.errno, exc.strerror, exc.filename.given) from None
         raise
-    finally:
-        for stage in stages:
-            del _LIVE[stage]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -314,30 +307,33 @@ def _write_csv(path, header, rows) -> None:
     an empty field; a row of another width raises ValueError.  Rows are
     formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists in
     memory as one list of Python numbers or one string.  The table is
-    committed whole through :func:`_staged`; its messages name the path the
+    committed whole through :func:`_staged`.  Every OSError names the path the
     caller gave, never a stage, also when ``path`` is an enclosing set's stage.
 
     A table of more than one block is split at block boundaries into one row range per CPU.  This
     process writes the first and :func:`_forked` children the others, appended in order; a row's text
-    depends only on the row.  A failed child prints its error, and OSError naming that path is raised.
+    depends only on the row.  A failed child's range is written again here: bytes and errors are one process's.
     """
-    name = _LIVE.get(path, path)
     blocks = -(-len(rows) // _BLOCK_ROWS)
     parts = max(1, min(_cpu_count(), blocks))
     cuts = [min(len(rows), k * blocks // parts * _BLOCK_ROWS) for k in range(parts + 1)]
 
-    def write_range(out, lo, hi):
-        try:
-            _write_rows(out, rows, len(header), lo, hi)
-        except Exception as exc:
-            os.write(2, f"{name}: rows {lo}..{hi - 1}: {type(exc).__name__}: {exc}\n".encode())
-            raise
+    def write(f, lo, hi):
+        _write_rows(f, rows, len(header), lo, hi)
 
-    with _staged(path) as (stage,), _forked(name, cuts, write_range) as outs, open(stage, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        _write_rows(f, rows, len(header), 0, cuts[1])
-        for out in outs:
-            shutil.copyfileobj(out, f)
+    try:
+        with _staged(path) as (stage,), _forked(cuts, write) as outs, open(stage, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for lo, hi, out in zip(cuts, cuts[1:], outs):
+                if out is None:
+                    write(f, lo, hi)
+                else:
+                    shutil.copyfileobj(out, f)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        given = getattr(path, "given", os.fspath(path))  # a failed write, e.g. EFBIG, names no file
+        raise OSError(exc.errno, exc.strerror, given) if exc.errno else OSError(f"{given}: {exc}") from None
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:
@@ -350,8 +346,9 @@ def _read_csv(path, header, dtype) -> np.ndarray:
 
     The body is split after a "\\n" into byte ranges about equal in size, one per CPU and at most
     one per ``_BLOCK_ROWS`` lines, that this process (the first) and :func:`_forked` children parse,
-    each from exactly its own bytes.  If one fails or has a row count other than its "\\n" count,
-    the body is parsed again line by line here, which finds and names the offending line.
+    each from exactly its own bytes, a failed child's range here again.  If a range does not parse or
+    has a row count other than its "\\n" count, the body is parsed again line by line here, which
+    finds and names the offending line.
     """
     lineno = 1
 
@@ -385,9 +382,10 @@ def _read_csv(path, header, dtype) -> np.ndarray:
                 size = fb.seek(0, os.SEEK_END) - start
                 parts = min(_cpu_count(), -(-size // block)) if block else 1
                 cuts = [start] + [fb.seek(start + k * size // parts) + len(fb.readline()) for k in range(1, parts + 1)]
-            with _forked(path, cuts, lambda out, lo, hi: np.save(out, parse(lo, hi))) as outs:
-                rows = np.concatenate([parse(cuts[0], cuts[1]), *(np.load(out) for out in outs)])
-        except (ValueError, OSError):  # a child tells a failed parse by its exit status alone
+            with _forked(cuts, lambda out, lo, hi: np.save(out, parse(lo, hi))) as outs:
+                ranges = zip(cuts, cuts[1:], outs)
+                rows = np.concatenate([parse(lo, hi) if out is None else np.load(out) for lo, hi, out in ranges])
+        except (ValueError, OSError):  # a bad range, also one a child failed on, or a pipe's f.tell()
             try:
                 rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:

@@ -1,14 +1,17 @@
 """End-to-end tests of the command line, driven in process through main().
 
-Subprocess tests check the installed console script, the import footprint
-and a warning-clean forked write; everything else calls main(argv) directly
-so coverage and tracebacks stay usable.
+Subprocess tests check the installed console script, the import footprint,
+a warning-clean forked write and a write over the file size limit; everything
+else calls main(argv) directly so coverage and tracebacks stay usable.
 """
 
+import errno
 import inspect
 import math
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -158,24 +161,74 @@ def test_each_file_of_a_set_is_staged_once(tmp_path, monkeypatch):
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
-def test_a_failed_writer_child_in_generate_names_the_file_given(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("everywhere", [False, True], ids=["fault-in-children", "fault-in-every-process"])
+def test_a_failed_writer_child_in_generate_is_redone_and_a_shared_fault_names_the_file(
+    tmp_path, monkeypatch, capfd, everywhere
+):
     parent_pid = os.getpid()
     real_write_rows = rankreg.comparisons._write_rows
 
     def write_rows(*args):
-        if os.getpid() != parent_pid:
-            raise OSError("injected child fault")
+        if everywhere or os.getpid() != parent_pid:
+            raise OSError("injected fault")
         real_write_rows(*args)
 
+    argv = ["generate", "--d", "2", "--n", "10000", "--m", "5", "--out-prefix"]
+    monkeypatch.setattr(rankreg.comparisons, "_cpu_count", lambda: 1)
+    assert main([*argv, str(tmp_path / "one")]) == 0
     # 20,000 sample rows are three blocks: this process writes the first, one child the other two
     monkeypatch.setattr(rankreg.comparisons, "_cpu_count", lambda: 2)
     monkeypatch.setattr(rankreg.comparisons, "_write_rows", write_rows)
+    (tmp_path / "out").mkdir()
+    prefix = tmp_path / "out" / "o"
+    if everywhere:
+        assert main([*argv, str(prefix)]) == 1
+        assert capfd.readouterr().err == f"error: {prefix}.samples.csv: injected fault\n"
+        assert not list(prefix.parent.iterdir())  # no set and no stage
+    else:
+        assert main([*argv, str(prefix)]) == 0
+        assert capfd.readouterr().err == ""
+        for suffix in ("samples", "comparisons", "truth"):
+            assert (tmp_path / f"out/o.{suffix}.csv").read_bytes() == (tmp_path / f"one.{suffix}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [2000, 50000])
+def test_a_write_over_the_file_size_limit_names_the_table(tmp_path, n):
+    # at n = 50,000 the samples table is split across processes, and every worker meets the limit too
+    def limit():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+
     prefix = tmp_path / "out"
-    assert main(["generate", "--d", "2", "--n", "10000", "--m", "5", "--out-prefix", str(prefix)]) == 1
-    child, error = capfd.readouterr().err.splitlines()
-    assert child == f"{prefix}.samples.csv: rows 8192..19999: OSError: injected child fault"
-    assert error.startswith(f"error: {prefix}.samples.csv: writer process ")
-    assert not list(tmp_path.iterdir())  # no set and no stage
+    argv = ["generate", "--d", "5", "--n", str(n), "--m", "1000", "--pe", "0.2", "--out-prefix", str(prefix)]
+    proc = subprocess.run([sys.executable, "-m", "rankreg", *argv], capture_output=True, text=True, preexec_fn=limit)
+    error = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{prefix}.samples.csv'"
+    assert (proc.returncode, proc.stderr) == (1, f"error: {error}\n")
+    assert not list(tmp_path.iterdir())  # no file of the set and no stage
+
+
+def test_a_failed_rename_names_the_file_given_and_leaves_each_file_whole(tmp_path, monkeypatch, capsys):
+    # a failure among the final renames leaves the files renamed before it new beside the older ones
+    for name in ("new", "set"):
+        (tmp_path / name).mkdir()
+    new = _generate(tmp_path, seed=1, prefix="new/o")
+    prefix = _generate(tmp_path, seed=0, prefix="set/o")
+    old = {p.name: p.read_bytes() for p in prefix.parent.iterdir()}
+    renamed, real_replace = [], os.replace
+
+    def replace(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), src, dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    argv = ["generate", "--d", "2", "--n", "10", "--m", "5", "--seed", "1", "--out-prefix", str(prefix)]
+    assert main(argv) == 1
+    error = f"[Errno {errno.EBUSY}] {os.strerror(errno.EBUSY)}: '{prefix}.comparisons.csv'"
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    want = {**old, "o.samples.csv": (new.parent / "o.samples.csv").read_bytes()}
+    assert {p.name: p.read_bytes() for p in prefix.parent.iterdir()} == want  # and no stage
 
 
 @pytest.mark.parametrize(

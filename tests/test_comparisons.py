@@ -303,30 +303,46 @@ def test_parallel_write_matches_a_one_process_reference(tmp_path, monkeypatch, p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["array.csv", "triples.csv"]
 
 
-def test_parallel_write_reports_a_failed_child_and_reaps_it(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("everywhere", [False, True], ids=["fault-in-children", "fault-in-every-process"])
+def test_parallel_write_redoes_a_failed_child_here_and_reaps_it(tmp_path, monkeypatch, capfd, everywhere):
     parent_pid = os.getpid()
-    real_write_rows = comparisons._write_rows
+    real_write_rows, real_fork = comparisons._write_rows, os.fork
+    forks = []
 
     def write_rows(*args):
-        if os.getpid() != parent_pid:
-            raise OSError("injected child fault")
+        if everywhere or os.getpid() != parent_pid:
+            raise OSError("injected fault")
         real_write_rows(*args)
 
-    # three parts: the first child's failure is raised while the second is still unreaped
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    rows = np.random.default_rng(9).standard_normal((3 * 8192, 1))
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 1)
+    _write_csv(tmp_path / "one.csv", ["x_1"], rows)
+    # three parts: the first child's failure is met while the second is still unreaped
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
     monkeypatch.setattr(comparisons, "_write_rows", write_rows)
+    monkeypatch.setattr(os, "fork", fork)
     for old in (None, b"x_1\n0.5\n"):  # no file before, then an older table
         (tmp_path / "out").mkdir()
         path = tmp_path / "out" / "s.csv"
         if old is not None:
             path.write_bytes(old)
-        with pytest.raises(OSError, match=f"{path}: writer process"):
-            _write_csv(path, ["x_1"], np.zeros((3 * 8192, 1)))
-        assert "injected child fault" in capfd.readouterr().err
+        forks.clear()
+        if everywhere:  # this process's own error, raised once and naming the table
+            with pytest.raises(OSError, match=f"^{re.escape(str(path))}: injected fault$"):
+                _write_csv(path, ["x_1"], rows)
+            want = [] if old is None else [old]  # no truncated table: the older file keeps its bytes, or there is none
+        else:
+            _write_csv(path, ["x_1"], rows)
+            want = [(tmp_path / "one.csv").read_bytes()]  # the bytes of one process
+        assert len(forks) == 2
+        assert capfd.readouterr().err == ""  # a failed child prints nothing
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # no truncated table: the older file keeps its bytes, or there is none, and no stage is left
-        assert [p.read_bytes() for p in path.parent.iterdir()] == ([] if old is None else [old])
+        assert [p.read_bytes() for p in path.parent.iterdir()] == want  # and no stage is left
         shutil.rmtree(path.parent)
 
 
@@ -488,27 +504,45 @@ def test_comparisons_csv_errors_in_a_split_body_match_one_process(tmp_path, monk
         assert re.search(re.sub(r":(\d+):", lambda m: f":{int(m[1]) + LONG}:", fragment), one)
 
 
-def test_parallel_read_falls_back_to_one_process_when_a_child_fails(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("parts", [2, 3])
+def test_parallel_read_parses_a_failed_childs_range_here_and_reaps_it(tmp_path, monkeypatch, capfd, parts):
     parent_pid = os.getpid()
-    real_save = np.save
+    real_save, real_fork = np.save, os.fork
+    forks = []
 
     def save(out, rows):
         if os.getpid() != parent_pid:
             raise OSError("injected child fault")
         real_save(out, rows)
 
-    features = np.random.default_rng(5).standard_normal((3 * 8192, 2))
-    path = tmp_path / "s.csv"
-    write_samples_csv(SampleSet(features), path)
-    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 3)
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    rng = np.random.default_rng(5)
+    count = 3 * 8192
+    write_samples_csv(SampleSet(rng.standard_normal((count, 2))), tmp_path / "s.csv")
+    i, j = rng.integers(0, count // 2, size=(2, count))
+    write_comparisons_csv(ComparisonDataset(count // 2, i, j, rng.choice([-1, 1], size=count)), tmp_path / "c.csv")
+
+    def read_all():
+        samples = read_samples_csv(tmp_path / "s.csv")
+        dataset = read_comparisons_csv(tmp_path / "c.csv", count // 2)
+        return [samples.features.tobytes(), dataset.i.tobytes(), dataset.j.tobytes(), dataset.y.tobytes()]
+
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: 1)
+    want = read_all()
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
     monkeypatch.setattr(np, "save", save)
+    monkeypatch.setattr(os, "fork", fork)
     open_fds = len(os.listdir("/proc/self/fd"))
-    assert np.array_equal(read_samples_csv(path).features, features)
+    assert read_all() == want
+    assert len(forks) == 2 * (parts - 1)  # every range but the first failed in its child
     assert capfd.readouterr().err == ""  # a failed read child prints nothing
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(os.listdir("/proc/self/fd")) == open_fds  # every temporary file is closed
-    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "s.csv"]
 
 
 def _fifo(tmp_path, peer):
