@@ -190,6 +190,7 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
 
 
 _BLOCK_ROWS = 1 << 13
+_FLOAT_BATCH = 1 << 13
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -203,17 +204,133 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+# Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), a whole array
+# at a time: for a finite x, the fewest decimal digits that read back as x, the closest to x of those when several
+# do, ties to even.  That is the digit string of repr(x).  The names follow the paper's Java code, DoubleToDecimal,
+# less the two digits that Java's Double.toString writes at least: repr writes 5e-324 where Java writes 4.9E-324.
+
+
+def _g(k: int) -> int:
+    """floor(10**-k / 2**r) + 1 with r such that the result is in [2**125, 2**126)."""
+    r = (-k * 913124641741 >> 38) - 125  # floor(log2(10**-k)) - 125
+    return (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+
+
+_G1, _G0 = (np.array(words, np.uint64) for words in zip(*(divmod(_g(k), 1 << 63) for k in range(-324, 293))))
+_POW10 = np.array([10**p for p in range(18)], np.uint64)
+_LOW32, _LOW63 = np.uint64((1 << 32) - 1), np.uint64((1 << 63) - 1)
+
+
+def _rop(g1, g0, cp):
+    """cp * (g1 * 2**63 + g0) / 2**127 rounded to odd, as uint64 arrays; cp < 2**60."""
+    cl, ch = cp & _LOW32, cp >> np.uint64(32)
+
+    def high(a):  # the high word of a * cp from 32-bit halves; the middle sum cannot wrap, as a < 2**63
+        ah, al = a >> np.uint64(32), a & _LOW32
+        return ah * ch + (((al * cl) >> np.uint64(32)) + ah * cl + al * ch >> np.uint64(32))
+
+    z = ((g1 * cp) >> np.uint64(1)) + high(g0)
+    return (high(g1) + (z >> np.uint64(63))) | (((z & _LOW63) + _LOW63) >> np.uint64(63))
+
+
+def _shortest(x):
+    """(digits, exp10) with |x| = digits * 10**exp10 the decimal that repr writes, for each finite nonzero x."""
+    one, two, ten = np.uint64(1), np.uint64(2), np.uint64(10)
+    bits = x.view(np.uint64)
+    biased, t = (bits >> np.uint64(52)) & np.uint64(0x7FF), bits & np.uint64((1 << 52) - 1)
+    c = np.where(biased > 0, t | np.uint64(1 << 52), t)
+    q = np.maximum(biased, 1).astype(np.int64) - 1075  # |x| = c * 2**q
+    irregular = (t == 0) & (biased > 1)  # a power of two: the gap below is half the gap above
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2**q)), or of 3/4 * 2**q if irregular
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # 2..5, so every cp below is under 2**60
+    g1, g0, cb, out = _G1[k + 324], _G0[k + 324], c << two, c & one  # an odd c excludes the interval's ends
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, (cb - two + irregular) << h) + out
+    vbr = _rop(g1, g0, (cb + two) << h) - out
+    s = vb >> two
+    s10 = s // ten * ten
+    up, wp = vbl <= s10 << two, (s10 + ten) << two <= vbr  # one digit fewer if one of these is in the interval
+    u, w = vbl <= s << two, (s + one) << two <= vbr
+    nearer = (vb < (s << two) + two) | ((vb == (s << two) + two) & (s & one == 0))  # than s + 1, or as near and even
+    digits = np.where(u & (~w | nearer), s, s + one)
+    return np.where(up | wp, np.where(up, s10, s10 + ten), digits), k
+
+
+# repr's layout as a selection from one 45-byte line per value, for |x| = 0.d0d1... * 10**point:
+#   "-"  "0." "000"  d0 "." d1 "." ... d15 "." d16  "e" "+" three exponent digits  ","
+# The sign goes with x.  Fixed notation, for -3 <= point <= 16 (1e-4 <= |x| < 1e16), keeps "0." and -point of the
+# "000" if point <= 0, d0 to d_last or to d_point if that is further (an integral value ends ".0"), and the "."
+# after d_(point-1).  Scientific notation (mode 17, or 18 for a three-digit exponent) keeps d0, a "." after it if
+# d1 follows, d1 to d_last, "e", the exponent's sign and its last two or three digits.  The separator stays.
+_LAYOUT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
+_EXPONENTS = np.array([f"{e:+04d}".encode() for e in range(-324, 309)], "S4").view(np.uint32)  # one gather each
+
+
+def _keep_table() -> np.ndarray:
+    """_keep_table()[mode + 3, last]: the columns of _LAYOUT that a value keeps, but for its sign."""
+    column, mode, last = np.arange(45), np.arange(-3, 19)[:, None, None], np.arange(17)[:, None]
+    digit, fixed = (column - 6) // 2, mode <= 16
+    return np.select(
+        [column == 0, column < 3, column < 6, column > 43, column > 38, column % 2 == 0],
+        [
+            False,
+            fixed & (mode <= 0),
+            fixed & (column - 2 <= -mode),
+            True,
+            ~fixed & ((column != 41) | (mode == 18)),
+            digit <= np.where(fixed, np.maximum(last, mode), last),
+        ],
+        np.where(fixed, digit + 1 == mode, (digit == 0) & (last > 0)),
+    )
+
+
+_KEEP = _keep_table()
+
+
+def _float_lines(block: np.ndarray) -> bytes:
+    """The CSV lines of a 2-d float64 array, each value exactly as repr writes it; repr itself writes nan and inf."""
+    x = np.ascontiguousarray(block).ravel()  # in row order whatever the memory order; .view needs contiguity
+    digits, exp10 = _shortest(x)
+    digits[x == 0] = 0
+    size = np.searchsorted(_POW10, digits, "right")  # how many digits, 0 for 0
+    point = np.where(x == 0, 1, size + exp10)  # 0.0 as 0.0 * 10**1
+    d = digits * _POW10[17 - size]  # the digits left-aligned in 17 places
+    columns = np.empty((17, len(x)), np.uint8)
+    for p in range(16, -1, -1):
+        q = d // np.uint64(10)
+        columns[p] = d - q * np.uint64(10)
+        d = q
+    last = (np.arange(17, dtype=np.uint8)[:, None] * (columns != 0)).max(0)
+    scientific = 17 + (np.abs(point - 1) >= 100)
+    keep = _KEEP[np.where((point >= -3) & (point <= 16), point, scientific) + 3, last]
+    keep[:, 0] = np.signbit(x)
+    text = np.empty((len(x), 45), np.uint8)
+    text[:] = _LAYOUT
+    text[:, 6:39:2] = columns.T + ord("0")
+    text[:, 40:44] = _EXPONENTS[point + 323][:, None].view(np.uint8)  # the exponent is point - 1
+    text[block.shape[1] - 1 :: block.shape[1], 44] = ord("\n")
+    slow = np.flatnonzero(~np.isfinite(x))
+    reprs = [repr(value).encode() for value in x[slow].tolist()]
+    text[slow, :44] = np.array(reprs, "S44")[:, None].view(np.uint8)
+    keep[slow, :44] = np.arange(44) < np.array([len(r) for r in reprs], int)[:, None]
+    return np.compress(keep.ravel(), text.ravel()).tobytes()
+
+
 def _write_rows(f, rows, width: int, start: int, stop: int) -> None:
-    line = ",".join(["%s"] * width) + "\n"  # %s of a Python float is its repr, the shortest exact round trip
+    line = ",".join(["%s"] * width) + "\n"  # %s writes str, which for a float is repr: what _float_lines writes
     for lo in range(start, stop, _BLOCK_ROWS):
         block = rows[lo : min(lo + _BLOCK_ROWS, stop)]
-        if isinstance(block, np.ndarray):
-            values = block.ravel().tolist()
-        elif all(len(row) == width for row in block):  # else the flat template would shift fields across rows
-            values = ["" if value is None else value for row in block for value in row]
-        else:
+        array = isinstance(block, np.ndarray)
+        if block.shape[1:] != (width,) if array else any(len(row) != width for row in block):
+            # else the flat template would shift fields across rows, or flatten a deeper array
             raise ValueError(f"rows {lo}..{lo + len(block) - 1} are not all {width} fields wide")
-        f.write((line * len(block) % tuple(values)).encode())
+        if array and block.dtype == np.float64 and block.size:
+            batch = max(1, _FLOAT_BATCH // width)  # small enough for the temporaries to stay in cache
+            for k in range(0, len(block), batch):
+                f.write(_float_lines(block[k : k + batch]))
+        else:
+            values = block.ravel().tolist() if array else ["" if v is None else v for row in block for v in row]
+            f.write((line * len(block) % tuple(values)).encode())
 
 
 @contextlib.contextmanager
@@ -304,9 +421,10 @@ def _write_csv(path, header, rows) -> None:
     object whose slices are one of these), each ending in "\\n".
 
     Every row is formatted by one %s template as wide as the header, None as
-    an empty field; a row of another width raises ValueError.  Rows are
-    formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists in
-    memory as one list of Python numbers or one string.  The table is
+    an empty field, and a float64 array by :func:`_float_lines`, which writes
+    the same bytes; a row or array of another width raises ValueError.  Rows
+    are formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists
+    in memory as one list of Python numbers or one string.  The table is
     committed whole through :func:`_staged`.  Every OSError names the path the
     caller gave, never a stage, also when ``path`` is an enclosing set's stage.
 

@@ -365,6 +365,74 @@ def test_rows_of_another_width_raise(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (3, 1), (2, 2, 2), (2,)])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+def test_arrays_of_another_shape_raise_as_rows_do(tmp_path, shape, dtype):
+    # a (2, 4) or (3, 1) array failed inside the % template, and a (2, 2, 2) one was written flattened
+    with pytest.raises(ValueError, match=f"^rows 0..{shape[0] - 1} are not all 2 fields wide$"):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], np.ones(shape, dtype))
+    assert not list(tmp_path.iterdir())
+
+
+# --- float formatting: every float64 array is written a block at a time, byte for byte as repr writes it ---
+
+
+def _repr_lines(rows) -> bytes:
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(rows).tolist()).encode()
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+FLOAT_FAMILIES = {
+    "random-bits": lambda rng: rng.integers(0, 2**64, size=5 * 10**4, dtype=np.uint64).view(np.float64),
+    "powers-of-two": lambda rng: _with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+    "powers-of-ten": lambda rng: _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "subnormals-and-zeros": lambda rng: np.concatenate(
+        [rng.integers(1, 2**52, size=10**4, dtype=np.uint64).view(np.float64), [0.0, -0.0, 5e-324, 1e-323]]
+    ),
+    "notation-switches": lambda rng: _with_neighbours([1e-4, 1e-3, 1e15, 1e16, 9999999999999998.0, 1e17]),
+    "near-2**53-and-1e23": lambda rng: np.concatenate(
+        [2.0**53 + np.arange(-40, 41), 2.0**53 - np.arange(0.5, 20), _with_neighbours([1e23, 1e22, 2.0**63])]
+    ),
+    "gaussian-at-every-scale": lambda rng: rng.standard_normal(10**4) * 10.0 ** rng.integers(-7, 19, size=10**4),
+    "short-decimals": lambda rng: rng.integers(-(10**6), 10**6, size=10**4) / 10.0 ** rng.integers(0, 9, size=10**4),
+    "non-finite": lambda rng: np.array([np.nan, -np.nan, np.inf, -np.inf, 1.5, -np.inf, np.nan, 0.1]),
+}
+
+
+@pytest.mark.parametrize("family", FLOAT_FAMILIES)
+def test_float_arrays_are_written_as_repr_writes_each_value(family):
+    x = FLOAT_FAMILIES[family](np.random.default_rng(19))
+    rows = np.concatenate([x, -x])[: len(x) * 2 // 7 * 7].reshape(-1, 7)  # both signs; "," and "\n" separators
+    assert comparisons._float_lines(rows) == _repr_lines(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12), st.integers(1, 3))
+def test_float_lines_match_repr_for_any_finite_floats(values, width):
+    rows = np.resize(np.array(values), (-(-len(values) // width), width))
+    assert comparisons._float_lines(rows) == _repr_lines(rows)
+
+
+def test_fortran_ordered_and_strided_float_tables_keep_their_row_order(tmp_path, monkeypatch):
+    # SampleSet keeps the caller's memory order, so a block may be neither C-ordered nor contiguous
+    monkeypatch.setattr(comparisons, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(comparisons, "_FLOAT_BATCH", 20)  # several batches per block, one row each at width 30
+    base = np.random.default_rng(3).standard_normal((300, 6)) * [1, 1e-5, 1e5, 1e17, 1, 1]
+    for name, rows in {
+        "fortran": np.asfortranarray(base),
+        "strided": base[::2, ::2],
+        "transposed": base[:30].T,
+        "negative-strides": base[::-3, ::-1],
+    }.items():
+        header, path = comparisons._names("x", rows.shape[1]), tmp_path / f"{name}.csv"
+        _write_csv(path, header, rows)
+        assert path.read_bytes() == (",".join(header) + "\n").encode() + _repr_lines(rows), name
+
+
 def test_a_table_that_cannot_be_staged_is_named_as_given(tmp_path):
     path = tmp_path / "missing" / "t.csv"
     with pytest.raises(FileNotFoundError) as caught:
