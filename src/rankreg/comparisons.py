@@ -384,7 +384,9 @@ def _staged(*paths):
     (beside a symlink's final target) with the mode ``open(path, "w")`` would leave, and every stage is renamed
     onto its target only after the block, so a failure while writing leaves each old file or none, and no stage.  A
     FIFO, a device, or a :class:`_Stage` of an enclosing block, which that block commits, is yielded as itself: a rename
-    would replace the node, not feed it.  An OSError whose filename is a stage is re-raised naming the caller's path.
+    would replace the node, not feed it.  Every OSError names the path as the caller gave it, never a stage: one that
+    names a stage, or one that names no file (EFBIG, EPIPE, a failed fork) in a block of one path, is re-raised naming
+    that path, an enclosing set's stage by its ``given``.
     """
     stages, written = {}, []  # stages maps each stage this block made to the file it replaces
     try:
@@ -411,8 +413,9 @@ def _staged(*paths):
         for stage in stages:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(stage)
-        if isinstance(exc, OSError) and isinstance(exc.filename, _Stage):
-            raise OSError(exc.errno, exc.strerror, exc.filename.given) from None
+        if isinstance(exc, OSError) and (isinstance(exc.filename, _Stage) or exc.filename is None and len(paths) == 1):
+            given = getattr(exc.filename or paths[0], "given", os.fspath(exc.filename or paths[0]))
+            raise OSError(exc.errno, exc.strerror, given) if exc.errno else OSError(f"{given}: {exc}") from None
         raise
 
 
@@ -425,8 +428,7 @@ def _write_csv(path, header, rows) -> None:
     the same bytes; a row or array of another width raises ValueError.  Rows
     are formatted in blocks of ``_BLOCK_ROWS``, so a large array never exists
     in memory as one list of Python numbers or one string.  The table is
-    committed whole through :func:`_staged`.  Every OSError names the path the
-    caller gave, never a stage, also when ``path`` is an enclosing set's stage.
+    committed whole through :func:`_staged`.
 
     A table of more than one block is split at block boundaries into one row range per CPU.  This
     process writes the first and :func:`_forked` children the others, appended in order; a row's text
@@ -439,19 +441,13 @@ def _write_csv(path, header, rows) -> None:
     def write(f, lo, hi):
         _write_rows(f, rows, len(header), lo, hi)
 
-    try:
-        with _staged(path) as (stage,), _forked(cuts, write) as outs, open(stage, "wb") as f:
-            f.write((",".join(header) + "\n").encode())
-            for lo, hi, out in zip(cuts, cuts[1:], outs):
-                if out is None:
-                    write(f, lo, hi)
-                else:
-                    shutil.copyfileobj(out, f)
-    except OSError as exc:
-        if exc.filename is not None:
-            raise
-        given = getattr(path, "given", os.fspath(path))  # a failed write, e.g. EFBIG, names no file
-        raise OSError(exc.errno, exc.strerror, given) if exc.errno else OSError(f"{given}: {exc}") from None
+    with _staged(path) as (stage,), _forked(cuts, write) as outs, open(stage, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for lo, hi, out in zip(cuts, cuts[1:], outs):
+            if out is None:
+                write(f, lo, hi)
+            else:
+                shutil.copyfileobj(out, f)
 
 
 def _read_csv(path, header, dtype) -> np.ndarray:

@@ -215,17 +215,12 @@ def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> Tria
 
 
 def _aggregate(grid_value, rows) -> GridAggregate:
+    def spread(values):  # the mean and the std, or None for both when there are no values or any value is None
+        return (None, None) if not values or None in values else (float(np.mean(values)), float(np.std(values)))
+
     ok = [r for r in rows if isinstance(r, TrialResult)]
-    if not ok:
-        return GridAggregate(grid_value, None, None, None, None, 0)
-    angles = np.array([r.angle for r in ok])
-    agg = {"angle_mean": float(angles.mean()), "angle_std": float(angles.std())}
-    if all(r.norm_error is not None for r in ok):
-        errors = np.array([r.norm_error for r in ok])
-        agg |= {"norm_error_mean": float(errors.mean()), "norm_error_std": float(errors.std())}
-    else:
-        agg |= {"norm_error_mean": None, "norm_error_std": None}
-    return GridAggregate(grid_value, count=len(ok), **agg)
+    errors, angles = spread([r.norm_error for r in ok]), spread([r.angle for r in ok])
+    return GridAggregate(grid_value, *errors, *angles, len(ok))
 
 
 def _sweep_points(spec: SweepSpec):
