@@ -377,6 +377,21 @@ class _Stage(str):
 
 
 @contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError that names a :class:`_Stage`, or names no file while ``path`` is not None, as one naming
+    the path its caller gave: a stage's ``given``, else ``os.fspath(path)``.  So every error names the path as given,
+    never a stage, also a failed read or write, which names no file of itself (EIO, EFBIG, EPIPE, a failed fork)."""
+    try:
+        yield
+    except OSError as exc:
+        named = exc.filename if isinstance(exc.filename, _Stage) else path if exc.filename is None else None
+        if named is None:
+            raise
+        given = getattr(named, "given", os.fspath(named))
+        raise OSError(exc.errno, exc.strerror, given) if exc.errno else OSError(f"{given}: {exc}") from None
+
+
+@contextlib.contextmanager
 def _staged(*paths):
     """Yield a path to write for each of ``paths``; once the ``with`` block completes, commit each onto its path.
 
@@ -384,39 +399,35 @@ def _staged(*paths):
     (beside a symlink's final target) with the mode ``open(path, "w")`` would leave, and every stage is renamed
     onto its target only after the block, so a failure while writing leaves each old file or none, and no stage.  A
     FIFO, a device, or a :class:`_Stage` of an enclosing block, which that block commits, is yielded as itself: a rename
-    would replace the node, not feed it.  Every OSError names the path as the caller gave it, never a stage: one that
-    names a stage, or one that names no file (EFBIG, EPIPE, a failed fork) in a block of one path, is re-raised naming
-    that path, an enclosing set's stage by its ``given``.
+    would replace the node, not feed it.  Errors are named by :func:`_naming`, after the path of a one-path block.
     """
     stages, written = {}, []  # stages maps each stage this block made to the file it replaces
-    try:
-        for path in paths:
-            try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                mode = None
-            stage = path
-            if not isinstance(path, _Stage) and (mode is None or stat.S_ISREG(mode)):
-                target = os.path.realpath(path)
-                head, tail = os.path.split(target)
-                stage = _Stage(os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp"))
-                stage.given = os.fspath(path)
-                os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less the umask, as open() does
-                stages[stage] = target
-                if mode is not None:
-                    os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
-            written.append(stage)
-        yield written
-        for stage, target in stages.items():
-            os.replace(stage, target)
-    except BaseException as exc:
-        for stage in stages:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(stage)
-        if isinstance(exc, OSError) and (isinstance(exc.filename, _Stage) or exc.filename is None and len(paths) == 1):
-            given = getattr(exc.filename or paths[0], "given", os.fspath(exc.filename or paths[0]))
-            raise OSError(exc.errno, exc.strerror, given) if exc.errno else OSError(f"{given}: {exc}") from None
-        raise
+    with _naming(paths[0] if len(paths) == 1 else None):
+        try:
+            for path in paths:
+                try:
+                    mode = os.stat(path).st_mode
+                except FileNotFoundError:
+                    mode = None
+                stage = path
+                if not isinstance(path, _Stage) and (mode is None or stat.S_ISREG(mode)):
+                    target = os.path.realpath(path)
+                    head, tail = os.path.split(target)
+                    stage = _Stage(os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp"))
+                    stage.given = os.fspath(path)
+                    os.close(os.open(stage, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))  # less umask, as open() does
+                    stages[stage] = target
+                    if mode is not None:
+                        os.chmod(stage, stat.S_IMODE(mode))  # open(path, "w") keeps an existing file's mode
+                written.append(stage)
+            yield written
+            for stage, target in stages.items():
+                os.replace(stage, target)
+        except BaseException:
+            for stage in stages:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(stage)
+            raise
 
 
 def _write_csv(path, header, rows) -> None:
@@ -479,10 +490,10 @@ def _read_csv(path, header, dtype) -> np.ndarray:
             text = g.read(hi - lo)
         rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), dtype=dtype, delimiter=",", comments=None, ndmin=2)
         if len(rows) != text.count(b"\n"):  # loadtxt skips blank lines
-            raise ValueError(f"{path}: {len(rows)} rows in bytes {lo}..{hi - 1}")
+            raise ValueError
         return rows
 
-    with open(path) as f, warnings.catch_warnings():
+    with _naming(path), open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
         names = f.readline().rstrip("\n").split(",")
         expected = header(len(names))

@@ -25,6 +25,7 @@ from .comparisons import (
     DeterministicLink,
     LogisticLink,
     ModelSpec,
+    _naming,
     _staged,
     _write_csv,
     generate_comparisons,
@@ -323,7 +324,7 @@ _MIN_N_KEYS = _BASE_KEYS | {"n_grid": str, "angle_threshold": lambda text: _angl
 def _read_config(path, converters: dict, required: tuple) -> dict:
     """The converted values of a config that may hold only the keys of ``converters``."""
     values = {}
-    with open(path) as f:
+    with _naming(path), open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -7,6 +7,7 @@ else calls main(argv) directly so coverage and tracebacks stay usable.
 
 import errno
 import inspect
+import io
 import math
 import os
 import resource
@@ -250,6 +251,55 @@ def test_a_missing_directory_is_reported_by_the_path_given(tmp_path, monkeypatch
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{given}'\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class _FailingReads(io.RawIOBase):
+    """A file that opened, but whose every read fails with EIO, as /proc/self/mem does at offset 0 on Linux."""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize(
+    "argv,given",
+    [
+        (["estimate", "--samples=out.samples.csv", "--comparisons=out.comparisons.csv"], "out.samples.csv"),
+        (["estimate", "--samples=out.samples.csv", "--comparisons=out.comparisons.csv"], "out.comparisons.csv"),
+        (
+            ["estimate", "--samples=out.samples.csv", "--comparisons=out.comparisons.csv", "--truth=out.truth.csv"],
+            "out.truth.csv",
+        ),
+        (["calibrate", "--pe", "0.2", "--truth", "out.truth.csv"], "out.truth.csv"),
+        (["sweep", "--config", "sweep.cfg"], "sweep.cfg"),
+        (["min-n", "--config", "minn.cfg"], "minn.cfg"),
+    ],
+    ids=["samples", "comparisons", "estimate-truth", "calibrate-truth", "sweep-config", "min-n-config"],
+)
+def test_a_failed_read_is_reported_by_the_path_given(tmp_path, monkeypatch, capsys, argv, given):
+    # a read that fails once its file is open raises an OSError that names no file of itself
+    monkeypatch.chdir(tmp_path)
+    _generate(tmp_path)
+    (tmp_path / "sweep.cfg").write_text("d = 2\nswept_parameter = n\ngrid = 30\nrepetitions = 1\n")
+    (tmp_path / "minn.cfg").write_text("d = 2\nn_grid = 30\nrepetitions = 1\n")
+    real_open = open
+
+    def open_then_fail(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        if os.fspath(path) != given:
+            return f
+        f.close()
+        failing = io.BufferedReader(_FailingReads())
+        return failing if "b" in mode else io.TextIOWrapper(failing)
+
+    for module in (rankreg.comparisons, rankreg.harness):
+        monkeypatch.setattr(module, "open", open_then_fail, raising=False)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: '{given}'\n")
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -1,6 +1,7 @@
 """Tests for link functions, comparison generation, and the CSV formats."""
 
 import contextlib
+import errno
 import math
 import os
 import re
@@ -680,6 +681,20 @@ def test_a_table_written_into_a_fifo_creates_no_file_beside_it(tmp_path, monkeyp
     assert got == [b"x_1,x_2\n" + b"1.0,1.0\n" * (3 * 8192)]
     assert created  # the children's temporary files, made in this process before each fork
     assert not [p for p in created if str(tmp_path) in (p, os.path.dirname(p))]
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo.csv"]
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+def test_a_fifo_whose_reader_left_names_itself_in_the_broken_pipe(tmp_path, monkeypatch, parts):
+    # a FIFO is written in place, so no stage names the error, and a write's EPIPE names no file of itself; the table
+    # is larger than a pipe's 64 KiB buffer, so the write fails even if the reader closes only once the buffer is full
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
+    fifo, reader = _fifo(tmp_path, lambda path: os.close(os.open(path, os.O_RDONLY)))
+    with _deadline(20), pytest.raises(BrokenPipeError) as caught:
+        write_samples_csv(SampleSet(np.ones((3 * 8192, 2))), fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert str(caught.value) == f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: '{fifo}'"
     assert [p.name for p in tmp_path.iterdir()] == ["fifo.csv"]
 
 
