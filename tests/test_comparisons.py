@@ -687,7 +687,7 @@ def test_a_table_written_into_a_fifo_creates_no_file_beside_it(tmp_path, monkeyp
 @pytest.mark.parametrize("parts", [1, 3])
 def test_a_fifo_whose_reader_left_names_itself_in_the_broken_pipe(tmp_path, monkeypatch, parts):
     # a FIFO is written in place, so no stage names the error, and a write's EPIPE names no file of itself; the table
-    # is larger than a pipe's 64 KiB buffer, so the write fails even if the reader closes only once the buffer is full
+    # is larger than a pipe's 64 KiB buffer, so the write fails also when the reader closes while the writer waits
     monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
     fifo, reader = _fifo(tmp_path, lambda path: os.close(os.open(path, os.O_RDONLY)))
     with _deadline(20), pytest.raises(BrokenPipeError) as caught:
