@@ -256,31 +256,22 @@ def _shortest(x):
     return np.where(up | wp, np.where(up, s10, s10 + ten), digits), k
 
 
-# repr's layout as a selection from one 45-byte line per value, for |x| = 0.d0d1... * 10**point:
-#   "-"  "0." "000"  d0 "." d1 "." ... d15 "." d16  "e" "+" three exponent digits  ","
-# The sign goes with x.  Fixed notation, for -3 <= point <= 16 (1e-4 <= |x| < 1e16), keeps "0." and -point of the
-# "000" if point <= 0, d0 to d_last or to d_point if that is further (an integral value ends ".0"), and the "."
-# after d_(point-1).  Scientific notation (mode 17, or 18 for a three-digit exponent) keeps d0, a "." after it if
-# d1 follows, d1 to d_last, "e", the exponent's sign and its last two or three digits.  The separator stays.
-_LAYOUT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000,", np.uint8)
-_EXPONENTS = np.array([f"{e:+04d}".encode() for e in range(-324, 309)], "S4").view(np.uint32)  # one gather each
+# repr's fixed notation as a selection from one 40-byte line per value, for |x| = 0.d0d1... * 10**point:
+#   "-"  "0." "000"  d0 "." d1 "." ... d15 "." d16  ","
+# The sign goes with x.  A value keeps "0." and -point of the "000" if point <= 0, d0 to d_last or to d_point if that
+# is further (an integral value ends ".0"), the "." after d_(point-1), and the separator.  repr uses this layout for
+# -3 <= point <= 16 (1e-4 <= |x| < 1e16); every other value, nan, inf or in scientific notation, repr writes itself.
+_LAYOUT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0,", np.uint8)
 
 
 def _keep_table() -> np.ndarray:
-    """_keep_table()[mode + 3, last]: the columns of _LAYOUT that a value keeps, but for its sign."""
-    column, mode, last = np.arange(45), np.arange(-3, 19)[:, None, None], np.arange(17)[:, None]
-    digit, fixed = (column - 6) // 2, mode <= 16
+    """_keep_table()[point + 3, last]: the columns of _LAYOUT that a value keeps, but for its sign."""
+    column, point, last = np.arange(40), np.arange(-3, 17)[:, None, None], np.arange(17)[:, None]
+    digit = (column - 6) // 2
     return np.select(
-        [column == 0, column < 3, column < 6, column > 43, column > 38, column % 2 == 0],
-        [
-            False,
-            fixed & (mode <= 0),
-            fixed & (column - 2 <= -mode),
-            True,
-            ~fixed & ((column != 41) | (mode == 18)),
-            digit <= np.where(fixed, np.maximum(last, mode), last),
-        ],
-        np.where(fixed, digit + 1 == mode, (digit == 0) & (last > 0)),
+        [column == 0, column < 3, column < 6, column == 39, column % 2 == 0],
+        [False, point <= 0, column - 2 <= -point, True, digit <= np.maximum(last, point)],
+        digit + 1 == point,
     )
 
 
@@ -288,7 +279,7 @@ _KEEP = _keep_table()
 
 
 def _float_lines(block: np.ndarray) -> bytes:
-    """The CSV lines of a 2-d float64 array, each value exactly as repr writes it; repr itself writes nan and inf."""
+    """The CSV lines of a 2-d float64 array, each value as repr writes it; repr itself writes all but fixed notation."""
     x = np.ascontiguousarray(block).ravel()  # in row order whatever the memory order; .view needs contiguity
     digits, exp10 = _shortest(x)
     digits[x == 0] = 0
@@ -301,18 +292,17 @@ def _float_lines(block: np.ndarray) -> bytes:
         columns[p] = d - q * np.uint64(10)
         d = q
     last = (np.arange(17, dtype=np.uint8)[:, None] * (columns != 0)).max(0)
-    scientific = 17 + (np.abs(point - 1) >= 100)
-    keep = _KEEP[np.where((point >= -3) & (point <= 16), point, scientific) + 3, last]
+    fixed = np.isfinite(x) & (point >= -3) & (point <= 16)
+    keep = _KEEP[np.where(fixed, point, 1) + 3, last]
     keep[:, 0] = np.signbit(x)
-    text = np.empty((len(x), 45), np.uint8)
+    text = np.empty((len(x), 40), np.uint8)
     text[:] = _LAYOUT
     text[:, 6:39:2] = columns.T + ord("0")
-    text[:, 40:44] = _EXPONENTS[point + 323][:, None].view(np.uint8)  # the exponent is point - 1
-    text[block.shape[1] - 1 :: block.shape[1], 44] = ord("\n")
-    slow = np.flatnonzero(~np.isfinite(x))
+    text[block.shape[1] - 1 :: block.shape[1], 39] = ord("\n")
+    slow = np.flatnonzero(~fixed)
     reprs = [repr(value).encode() for value in x[slow].tolist()]
-    text[slow, :44] = np.array(reprs, "S44")[:, None].view(np.uint8)
-    keep[slow, :44] = np.arange(44) < np.array([len(r) for r in reprs], int)[:, None]
+    text[slow, :39] = np.array(reprs, "S39")[:, None].view(np.uint8)
+    keep[slow, :39] = np.arange(39) < np.array([len(r) for r in reprs], int)[:, None]
     return np.compress(keep.ravel(), text.ravel()).tobytes()
 
 
