@@ -135,18 +135,22 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    result = run_sweep(read_sweep_config(args.config))
-    write_results(result, args.out_prefix)
+def _write_and_warn(result, out_prefix) -> None:
+    """Write a sweep's trials and agg files, and say on stderr how many of its trials failed, if any did."""
+    write_results(result, out_prefix)
     failed = sum(1 for row in result.rows if isinstance(row, TrialFailure))
     if failed:
         print(f"warning: {failed} of {len(result.rows)} trials failed", file=sys.stderr)
+
+
+def cmd_sweep(args) -> int:
+    _write_and_warn(run_sweep(read_sweep_config(args.config)), args.out_prefix)
     return 0
 
 
 def cmd_min_n(args) -> int:
     found, result = find_min_n(*read_min_n_config(args.config))
-    write_results(result, args.out_prefix)
+    _write_and_warn(result, args.out_prefix)
     print("not-found" if found is None else found)
     return 0
 
@@ -204,7 +208,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

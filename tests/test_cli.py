@@ -661,18 +661,24 @@ def test_sweep_command_writes_both_files(tmp_path, capsys):
     assert len(_data_lines(tmp_path / "sw.agg.csv")) == 2
 
 
-def test_sweep_command_warns_about_failed_trials(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command,keys,out",
+    [
+        pytest.param("sweep", "swept_parameter = n\ngrid = 30, 60\n", "", id="sweep"),
+        pytest.param("min-n", "n_grid = 30, 60\n", "not-found\n", id="min-n"),
+    ],
+)
+def test_sweep_command_warns_about_failed_trials(tmp_path, capsys, monkeypatch, command, keys, out):
     def fail(target_pe, law):
         raise ValueError("injected calibration failure")
 
     monkeypatch.setattr(rankreg.harness, "solve_alpha_for_pe", fail)
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "d = 2\nswept_parameter = n\ngrid = 30, 60\nrepetitions = 2\ntarget_pe = 0.2\n"
-    )
-    rc = main(["sweep", "--config", str(cfg), "--out-prefix", str(tmp_path / "sw")])
+    cfg.write_text(f"d = 2\n{keys}repetitions = 2\ntarget_pe = 0.2\n")
+    rc = main([command, "--config", str(cfg), "--out-prefix", str(tmp_path / "sw")])
     assert rc == 0
-    assert "warning: 4 of 4 trials failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == out and "warning: 4 of 4 trials failed" in captured.err
 
 
 def test_sweep_command_rejects_bad_config(tmp_path, capsys):
@@ -697,6 +703,19 @@ def test_min_n_command_reports_not_found(tmp_path, capsys):
     rc = main(["min-n", "--config", str(cfg), "--out-prefix", str(tmp_path / "mn")])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "not-found"
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def simulate(stream, model, n, m):  # as numpy's own MemoryError subclass would, without allocating
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64")
+
+    monkeypatch.setattr(rankreg.cli, "simulate", simulate)
+    argv = ["generate", "--d", "2", "--n", "10", "--m", "1000000000000", "--out-prefix", str(tmp_path / "o")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: Unable to allocate 7.28 TiB")
+    assert captured.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 # --- usage -----------------------------------------------------------------
