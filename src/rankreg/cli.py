@@ -1,7 +1,7 @@
 """Command-line front end: generate, estimate, calibrate, sweep, min-n.
 
 Exit codes: 0 on success, 1 on domain or runtime errors (bad data, failed
-preconditions, I/O), 2 on usage errors.  All randomness flows from --seed
+preconditions, I/O, memory), 2 on usage errors.  All randomness flows from --seed
 or the config file's master_seed; repeated invocations with identical
 flags write identical files.
 """
