@@ -1,9 +1,9 @@
 """Command-line front end: generate, estimate, calibrate, sweep, min-n.
 
 Exit codes: 0 on success, 1 on domain or runtime errors (bad data, failed
-preconditions, I/O, memory), 2 on usage errors.  All randomness flows from --seed
-or the config file's master_seed; repeated invocations with identical
-flags write identical files.
+preconditions, I/O, memory), 2 on usage errors.  All randomness flows from
+--seed or the config file's master_seed; repeated invocations with
+identical flags write identical files.
 """
 
 from __future__ import annotations

@@ -293,7 +293,7 @@ def _float_lines(block: np.ndarray) -> bytes:
         d = q
     last = (np.arange(17, dtype=np.uint8)[:, None] * (columns != 0)).max(0)
     fixed = np.isfinite(x) & (point >= -3) & (point <= 16)
-    keep = _KEEP[np.where(fixed, point, 1) + 3, last]
+    keep = _KEEP[np.where(fixed, point, 1) + 3, last]  # any row for the rest: repr's bytes replace theirs below
     keep[:, 0] = np.signbit(x)
     text = np.empty((len(x), 40), np.uint8)
     text[:] = _LAYOUT
