@@ -19,6 +19,7 @@ the probit approximation of the logistic link.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,8 +52,12 @@ class ScoreDifferenceLaw:
         return cls(math.sqrt(variance))
 
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
-_WEIGHTS = _WEIGHTS / math.sqrt(2.0 * math.pi)  # folds in phi's normalization
+@functools.cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:  # made on first use, as leggauss runs an eigensolver
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    return nodes, weights / math.sqrt(2.0 * math.pi)  # folds in phi's normalization
+
+
 # Piece ends in link widths 1/tau.  The logistic term has poles at
 # u = +-i pi / tau, so the piece at the origin is 2 widths long and the
 # pieces farther from the poles grow.  By 48 widths the term has fallen by
@@ -72,9 +77,9 @@ def _half_line(tau: float):
     # floor on tau only keeps 48 / tau finite.
     ends = np.minimum(_WIDTHS / max(tau, 1e-300), _GAUSS_END)
     a, b = ends[:-1, None], ends[1:, None]
-    half = 0.5 * (b - a)
-    u = (0.5 * (a + b) + half * _NODES).ravel()
-    return u, (half * _WEIGHTS).ravel() * np.exp(-0.5 * u * u)
+    half, (nodes, weights) = 0.5 * (b - a), _rule()
+    u = (0.5 * (a + b) + half * nodes).ravel()
+    return u, (half * weights).ravel() * np.exp(-0.5 * u * u)
 
 
 def _tau(link: LogisticLink, law: ScoreDifferenceLaw) -> float:

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .randomness import RngStream, SpdMatrix, sample_gaussian
+from .randomness import _BLOCK_ROWS, RngStream, SpdMatrix, _row_blocks, sample_gaussian
 
 
 def _expit(x):
@@ -155,19 +155,18 @@ def generate_comparisons(
 ) -> ComparisonDataset:
     """Draw m comparisons: pairs uniform over the comparison half, labels from the link.
 
-    Both pair indices are drawn independently, so self-pairs occur; their win
-    probability is exactly 1/2 under every link.  Draw order (i, then j, then
-    the label uniforms) is fixed so results are reproducible per stream.
+    Both pair indices are drawn independently, so self-pairs occur; their win probability is exactly 1/2 under
+    every link.  Draw order (i, then j, then the label uniforms) is fixed so results are reproducible per stream;
+    the uniforms, read as one draw of m would, label one :func:`_row_blocks` block at a time.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     g = rng.generator()
     i = g.integers(0, samples.n, size=m)
     j = g.integers(0, samples.n, size=m)
-    u = g.random(size=m)
-    scores = samples.comparison_half @ spec.beta
-    p_win = spec.link.prob(scores[i] - scores[j])
-    y = np.where(u < p_win, 1, -1)
+    scores, y = samples.comparison_half @ spec.beta, np.empty(m, np.int64)
+    for lo, hi in _row_blocks(m):
+        y[lo:hi] = np.where(g.random(hi - lo) < spec.link.prob(scores[i[lo:hi]] - scores[j[lo:hi]]), 1, -1)
     return ComparisonDataset(samples.n, i, j, y)
 
 
@@ -189,7 +188,6 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
 # CSV serialization: every table goes through _write_csv and _read_csv.
 
 
-_BLOCK_ROWS = 1 << 13
 _FLOAT_BATCH = 1 << 13
 
 

@@ -10,26 +10,28 @@ one d x d linear solve (``numpy.linalg.solve``, an LU factorization).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .comparisons import ComparisonDataset, SampleSet, _names, _write_csv
-from .randomness import SpdMatrix
+from .randomness import SpdMatrix, _row_blocks
 
 
 def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     """Estimate the feature covariance from the second half of ``samples``.
 
-    Uses the corrected normalization 1/(N - d - 2) so the inverse of the
-    returned estimate is unbiased.  Raises ValueError
-    when N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter
-    matrix is singular (for example, all covariance rows identical).
+    Uses the corrected normalization 1/(N - d - 2) so the inverse of the returned estimate is unbiased, and sums
+    the scatter matrix over centred :func:`_row_blocks` blocks, one copied at a time.  Raises ValueError when
+    N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter matrix is singular (for example, all covariance
+    rows identical).
     """
     n, d = samples.n, samples.d
     if n <= d + 2:
         raise ValueError(f"need N > d + 2, got N={n}, d={d}")
-    half = samples.covariance_half
-    centered = half - half.mean(axis=0)
-    sigma = centered.T @ centered / (n - d - 2)
+    half, mean = samples.covariance_half, samples.covariance_half.mean(axis=0)
+    blocks = (half[lo:hi] - mean for lo, hi in _row_blocks(n))  # map drops each block before the next is made
+    sigma = functools.reduce(np.add, map(lambda c: c.T @ c, blocks)) / (n - d - 2)
     return SpdMatrix((sigma + sigma.T) / 2)
 
 
@@ -43,12 +45,13 @@ def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
     """
     if dataset.n != samples.n:
         raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
+    sigma = estimate_covariance(samples)  # before the float labels, so its blocks and they never coexist
     y = dataset.y.astype(float)
     weights = np.bincount(dataset.i, weights=y, minlength=samples.n) - np.bincount(
         dataset.j, weights=y, minlength=samples.n
     )
     accumulated = weights @ samples.comparison_half
-    beta_hat = np.linalg.solve(estimate_covariance(samples).entries, accumulated) / dataset.m
+    beta_hat = np.linalg.solve(sigma.entries, accumulated) / dataset.m
     if not np.isfinite(beta_hat).all():
         raise ValueError("beta_hat has non-finite entries")
     return beta_hat

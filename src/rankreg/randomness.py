@@ -17,6 +17,13 @@ from functools import cached_property
 import numpy as np
 
 _UINT64_MASK = (1 << 64) - 1
+_BLOCK_ROWS = 1 << 13  # the fewest rows of a block: BLAS may sum a shorter one in another order than all rows at once
+
+
+def _row_blocks(count: int) -> list:
+    """``range(count)`` split evenly into max(1, count // _BLOCK_ROWS) blocks (lo, hi), or one if count is smaller."""
+    parts = max(1, count // _BLOCK_ROWS)
+    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 
 def _mix(*parts) -> int:
@@ -134,14 +141,16 @@ def make_covariance(rng: RngStream, d: int, lambda_min: float) -> SpdMatrix:
 
 
 def sample_gaussian(rng: RngStream, mu: np.ndarray, sigma: SpdMatrix, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. rows from N(mu, sigma) via the Cholesky factor."""
+    """Draw ``count`` i.i.d. rows from N(mu, sigma) via the Cholesky factor, one :func:`_row_blocks` block at a time."""
     mu = np.asarray(mu, dtype=float)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if mu.shape != (sigma.dim,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({sigma.dim},)")
-    x = rng.generator().standard_normal((count, sigma.dim)) @ sigma.cholesky.T
-    x += mu
+    g, x = rng.generator(), np.empty((count, sigma.dim))
+    for lo, hi in _row_blocks(count):
+        np.matmul(g.standard_normal((hi - lo, sigma.dim)), sigma.cholesky.T, out=x[lo:hi])
+        x[lo:hi] += mu
     return x
 
 

@@ -217,6 +217,20 @@ def test_negating_weights_mirrors_the_label_law():
     assert abs(mean_pos + mean_neg) <= 0.02
 
 
+@pytest.mark.parametrize("link", [LogisticLink(1.0), DeterministicLink()], ids=["logistic", "sign"])
+def test_blocked_labels_match_one_draw_of_every_uniform(link):
+    # the labels are drawn one block at a time from the stream positions that one draw of m uniforms reads
+    b, spec = comparisons._BLOCK_ROWS, _model(link=link)
+    samples = generate_samples(RngStream(60), spec, 50)  # one pair in 50 is a self-pair, a coin flip under both links
+    scores = samples.comparison_half @ spec.beta
+    for m in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 24):
+        g = RngStream(61).generator()
+        i, j = g.integers(0, 50, size=m), g.integers(0, 50, size=m)
+        y = np.where(g.random(size=m) < link.prob(scores[i] - scores[j]), 1, -1)
+        data = generate_comparisons(RngStream(61), spec, samples, m)
+        assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
+
+
 def test_flip_fraction_noiseless_and_negated():
     spec = _model(d=1, beta=[2.0], link=DeterministicLink())
     samples = SampleSet(np.array([[0.0], [1.0], [2.0], [0.0], [0.0], [0.0]]))

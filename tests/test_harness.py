@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from rankreg import (
     write_results,
 )
 from rankreg.comparisons import _expit
+from rankreg.randomness import _BLOCK_ROWS
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
 INJECTED = "injected calibration failure"
@@ -150,6 +152,20 @@ def test_run_trial_noiseless_has_no_shrinkage_constant():
     result = run_trial(TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.0), 0)
     assert result.norm_error is None and result.c1_used is None
     assert 0 <= result.angle <= math.pi
+
+
+def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
+    # 2n*d*8 B of features; i, j and y at 24 B per comparison and the 8 B |y| of the label check; then
+    # one block of fewer than 2 * _BLOCK_ROWS rows of d floats.  The trial peaks ~2.1 MB below the bound
+    # here, so a full-size copy of the features (6.4 MB) or 16 B more per comparison (3.2 MB) breaks it
+    config = TrialConfig(d=20, n=20_000, m=m_from_n(20_000), lambda_min=0.5, target_pe=0.0)
+    tracemalloc.start()
+    try:
+        run_trial(config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * config.n * config.d * 8 + 32 * config.m + 2 * _BLOCK_ROWS * config.d * 8
 
 
 def test_more_samples_tighten_the_angle():

@@ -16,6 +16,7 @@ from rankreg import (
     sample_gaussian,
     sample_ground_truth,
 )
+from rankreg import randomness
 
 
 def test_stream_reproducible_across_calls():
@@ -195,3 +196,24 @@ def test_ground_truth_draw_order_is_pinned():
     g = RngStream(77).generator()
     assert np.array_equal(beta, g.standard_normal(4) * np.sqrt(10.0))
     assert np.array_equal(mu, g.uniform(-5.0, 5.0, size=4))
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 50])
+def test_blocked_sampling_matches_one_draw_bit_for_bit(d):
+    # BLAS sums a short block in another order; the even split keeps every block at >= _BLOCK_ROWS rows
+    b = randomness._BLOCK_ROWS
+    sigma, mu = make_covariance(RngStream(40, d), d, 0.2), np.linspace(-5.0, 5.0, d)
+    for count in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 24):
+        one_draw = RngStream(41).generator().standard_normal((count, d)) @ sigma.cholesky.T + mu
+        assert np.array_equal(sample_gaussian(RngStream(41), mu, sigma, count), one_draw), count
+
+
+def test_row_blocks_split_evenly_into_blocks_of_at_least_block_rows():
+    b = randomness._BLOCK_ROWS
+    assert randomness._row_blocks(1) == [(0, 1)]
+    assert randomness._row_blocks(2 * b - 1) == [(0, 2 * b - 1)]
+    for count in (2 * b, 3 * b + 24, 7 * b - 1):
+        blocks = randomness._row_blocks(count)
+        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == count and len(blocks) == count // b
+        assert all(b <= hi - lo < 2 * b for lo, hi in blocks)
