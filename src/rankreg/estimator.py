@@ -11,6 +11,7 @@ one d x d linear solve (``numpy.linalg.solve``, an LU factorization).
 from __future__ import annotations
 
 import functools
+from typing import Iterable
 
 import numpy as np
 
@@ -35,23 +36,30 @@ def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     return SpdMatrix((sigma + sigma.T) / 2)
 
 
-def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
+def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> np.ndarray:
     """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
-    The per-comparison sum of y * (x_i - x_j) collapses to per-row integer
-    label weights, so the accumulation costs O(M + Nd) and is independent of
-    the order of the comparison triples.  The whitening solve is applied once
-    to the accumulated vector.  Raises ValueError when the result is not finite.
+    ``dataset`` is a :class:`ComparisonDataset`, which iterates as its own blocks, or any iterable of datasets that
+    together hold the comparisons, as a trial draws them one block at a time; only one block's float labels exist
+    at once.  The per-comparison sum of y * (x_i - x_j) collapses to per-row label weights, integer sums of
+    ±1 and so exact in float64: the accumulation costs O(M + Nd) plus two n-bin counts per block, and is independent
+    of the order of the comparison triples and of how they are split into blocks.  The whitening solve is applied
+    once to the accumulated vector.  Raises ValueError when a block indexes another number of rows than ``samples``
+    compares, when ``dataset`` yields no block, or when the result is not finite.
     """
-    if dataset.n != samples.n:
-        raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
-    sigma = estimate_covariance(samples)  # before the float labels, so its blocks and they never coexist
-    y = dataset.y.astype(float)
-    weights = np.bincount(dataset.i, weights=y, minlength=samples.n) - np.bincount(
-        dataset.j, weights=y, minlength=samples.n
-    )
+    sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
+    weights, m = np.zeros(samples.n), 0
+    for block in dataset:
+        if block.n != samples.n:
+            raise ValueError(f"dataset indexes {block.n} rows but samples provide {samples.n}")
+        y = block.y.astype(float)
+        weights += np.bincount(block.i, weights=y, minlength=samples.n)
+        weights -= np.bincount(block.j, weights=y, minlength=samples.n)
+        m += block.m
+    if not m:
+        raise ValueError("dataset yielded no block of comparisons")
     accumulated = weights @ samples.comparison_half
-    beta_hat = np.linalg.solve(sigma.entries, accumulated) / dataset.m
+    beta_hat = np.linalg.solve(sigma.entries, accumulated) / m
     if not np.isfinite(beta_hat).all():
         raise ValueError("beta_hat has non-finite entries")
     return beta_hat

@@ -25,6 +25,7 @@ from .comparisons import (
     DeterministicLink,
     LogisticLink,
     ModelSpec,
+    _comparison_blocks,
     _naming,
     _staged,
     _write_csv,
@@ -177,10 +178,16 @@ def realize_model(stream: RngStream, d: int, lambda_min: float, target_pe: float
 def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):
     """(samples, dataset): 2n feature rows, then m labeled comparisons, as trials and ``generate`` draw them.
 
-    The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.
+    The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.  A
+    trial reads the same comparisons as the blocks of :func:`_comparison_blocks`, never gathered into one dataset.
     """
+    return _simulated(stream, model, n, m, generate_comparisons)
+
+
+def _simulated(stream: RngStream, model: ModelSpec, n: int, m: int, draw) -> tuple:
+    """(samples, draw(comparisons stream, model, samples, m)) with the streams of :func:`simulate`."""
     samples = generate_samples(stream.child("features"), model, n)
-    return samples, generate_comparisons(stream.child("comparisons"), model, samples, m)
+    return samples, draw(stream.child("comparisons"), model, samples, m)
 
 
 def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
@@ -206,8 +213,8 @@ def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> Tria
         if repetition_index not in models:
             models[repetition_index] = realize_model(stream, config.d, config.lambda_min, config.target_pe)
         model, _, c1 = models[repetition_index]
-        samples, dataset = simulate(stream, model, config.n, config.m)
-        beta_hat = estimate_beta(dataset, samples)
+        samples, blocks = _simulated(stream, model, config.n, config.m, _comparison_blocks)
+        beta_hat = estimate_beta(blocks, samples)
         ang = angle(beta_hat, model.beta)
         err = None if c1 is None else norm_error(beta_hat, model.beta, c1)
     except Exception as exc:

@@ -20,9 +20,9 @@ _UINT64_MASK = (1 << 64) - 1
 _BLOCK_ROWS = 1 << 13  # the fewest rows of a block: BLAS may sum a shorter one in another order than all rows at once
 
 
-def _row_blocks(count: int) -> list:
-    """``range(count)`` split evenly into max(1, count // _BLOCK_ROWS) blocks (lo, hi), or one if count is smaller."""
-    parts = max(1, count // _BLOCK_ROWS)
+def _row_blocks(count: int, rows: int = _BLOCK_ROWS) -> list:
+    """``range(count)`` split evenly into max(1, count // rows) blocks (lo, hi), or one if count is smaller."""
+    parts = max(1, count // rows)
     return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
 
 

@@ -9,6 +9,7 @@ import shutil
 import signal
 import stat
 import threading
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -229,6 +230,57 @@ def test_blocked_labels_match_one_draw_of_every_uniform(link):
         y = np.where(g.random(size=m) < link.prob(scores[i] - scores[j]), 1, -1)
         data = generate_comparisons(RngStream(61), spec, samples, m)
         assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
+
+
+@pytest.mark.parametrize("link", [LogisticLink(1.0), DeterministicLink()], ids=["logistic", "sign"])
+@pytest.mark.parametrize("n", [1, 7, 100_000])
+def test_comparison_blocks_are_one_draw_of_i_then_j_then_the_uniforms(n, link):
+    # every block reads the stream positions of one draw of m indices i, then of m indices j, then of m uniforms,
+    # all from the one stream, so no output depends on where the blocks split
+    b, spec = comparisons._COMPARISON_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
+    samples = generate_samples(RngStream(70), spec, n)
+    scores = samples.comparison_half @ spec.beta
+    for m in (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 5 * b + 7):
+        g = RngStream(71).generator()
+        i, j = g.integers(0, n, size=m), g.integers(0, n, size=m)
+        y = np.where(g.random(size=m) < link.prob(scores[i] - scores[j]), 1, -1)
+        blocks = list(comparisons._comparison_blocks(RngStream(71), spec, samples, m))
+        assert [block.m for block in blocks] == [hi - lo for lo, hi in comparisons._row_blocks(m, b)], m
+        assert all(block.m >= b for block in blocks) or m < b
+        assert all(block.n == n for block in blocks)
+        for name, expected in (("i", i), ("j", j), ("y", y)):
+            assert np.array_equal(np.concatenate([getattr(block, name) for block in blocks]), expected), (m, name)
+        data = generate_comparisons(RngStream(71), spec, samples, m)
+        assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
+
+
+def test_a_dataset_iterates_as_views_of_its_blocks():
+    b, rng = comparisons._COMPARISON_ROWS, np.random.default_rng(72)
+    m = 3 * b + 5
+    data = ComparisonDataset(9, rng.integers(0, 9, m), rng.integers(0, 9, m), rng.choice([-1, 1], m))
+    blocks = list(data)
+    assert [block.m for block in blocks] == [b + 1, b + 2, b + 2]
+    for name in "ijy":
+        parts = [getattr(block, name) for block in blocks]
+        assert all(np.shares_memory(part, getattr(data, name)) for part in parts)
+        assert np.array_equal(np.concatenate(parts), getattr(data, name))
+    assert [block.m for block in ComparisonDataset(3, [0, 2], [1, 1], [1, -1])] == [2]
+
+
+def test_a_dataset_checks_its_labels_without_a_copy_of_them():
+    # the label check keeps one block's masks, not an 8 B |y| and a 1 B mask per comparison (18 MB here)
+    m, rng = 2_000_000, np.random.default_rng(73)
+    i, j, y = rng.integers(0, 5, m), rng.integers(0, 5, m), rng.choice([-1, 1], m)
+    tracemalloc.start()
+    try:
+        ComparisonDataset(5, i, j, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < comparisons._COMPARISON_ROWS * 8
+    y[-1] = 3  # in the last block
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        ComparisonDataset(5, i, j, y)
 
 
 def test_flip_fraction_noiseless_and_negated():

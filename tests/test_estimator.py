@@ -209,6 +209,26 @@ def test_estimate_validates_inputs():
         estimate_beta(ComparisonDataset(8, [0, 1], [2, 3], [1, -1]), huge)
 
 
+def test_estimate_of_blocks_is_the_estimate_of_their_dataset():
+    samples, dataset = _random_instance(41, m=5000)
+    cuts = [0, 1, 1700, 1701, 5000]
+    blocks = [ComparisonDataset(40, dataset.i[a:b], dataset.j[a:b], dataset.y[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(estimate_beta(iter(blocks), samples), estimate_beta(dataset, samples))
+
+
+def test_estimate_checks_every_block_against_the_samples():
+    samples, dataset = _random_instance(42)
+    stray = ComparisonDataset(30, [0, 1], [2, 3], [1, -1])
+    with pytest.raises(ValueError, match="dataset indexes 30 rows but samples provide 40"):
+        estimate_beta([dataset, stray], samples)
+
+
+def test_estimate_of_no_block_says_so():
+    samples, _ = _random_instance(43)
+    with pytest.raises(ValueError, match="yielded no block"):
+        estimate_beta(iter([]), samples)
+
+
 def test_estimator_mean_tracks_the_shrunk_weights():
     # Monte Carlo check of the expectation identity at a small scale; the
     # acceptance suite repeats it at d=2 with larger trial counts.

@@ -19,9 +19,14 @@ from rankreg import (
     TrialExecutionError,
     TrialFailure,
     TrialResult,
+    angle,
+    estimate_beta,
     find_min_n,
     flip_fraction,
+    generate_comparisons,
+    generate_samples,
     m_from_n,
+    norm_error,
     read_min_n_config,
     read_sweep_config,
     realize_model,
@@ -31,7 +36,7 @@ from rankreg import (
     trial_stream,
     write_results,
 )
-from rankreg.comparisons import _expit
+from rankreg.comparisons import _COMPARISON_ROWS, _expit
 from rankreg.randomness import _BLOCK_ROWS
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
@@ -166,6 +171,41 @@ def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * config.n * config.d * 8 + 32 * config.m + 2 * _BLOCK_ROWS * config.d * 8
+
+
+def test_a_trial_peak_is_flat_in_the_comparison_budget():
+    # a trial holds one comparison block, whatever m is: its peak grows by less than one block's i, j and y
+    # (1.5 MB) from m = 2e5 to 2e6, where 33 B per comparison held would add ~59 MB.  The growth was at most
+    # 2 kB over seeds 0..23
+    def peak(m):
+        config = TrialConfig(d=5, n=1000, m=m, lambda_min=1.0, target_pe=0.2, master_seed=3)
+        tracemalloc.start()
+        try:
+            run_trial(config, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2_000_000) - peak(200_000) < _COMPARISON_ROWS * 24
+
+
+def test_a_trial_of_many_blocks_estimates_what_its_gathered_comparisons_give(monkeypatch):
+    config = TrialConfig(d=5, n=1000, m=2 * _COMPARISON_ROWS + 3, lambda_min=0.5, target_pe=0.2)
+    estimates = []
+
+    def spy(dataset, samples):
+        estimates.append(estimate_beta(dataset, samples))
+        return estimates[-1]
+
+    monkeypatch.setattr(harness, "estimate_beta", spy)
+    result = run_trial(config, 1)
+    stream = trial_stream(config, 1)
+    model, _, c1 = realize_model(stream, config.d, config.lambda_min, config.target_pe)
+    samples = generate_samples(stream.child("features"), model, config.n)
+    beta_hat = estimate_beta(generate_comparisons(stream.child("comparisons"), model, samples, config.m), samples)
+    assert np.array_equal(estimates, [beta_hat])
+    assert result.angle == angle(beta_hat, model.beta)
+    assert result.norm_error == norm_error(beta_hat, model.beta, c1)
 
 
 def test_more_samples_tighten_the_angle():
