@@ -49,23 +49,24 @@ def _truth_names(d: int) -> list[str]:
     return _names("beta", d) + _names("mu", d) + sigma + ["alpha", "c1"]
 
 
-def write_truth_csv(model, alpha: Optional[float], c1: Optional[float], path) -> None:
-    """One row: weights, mean, row-major covariance, link slope, shrinkage constant.
+def write_truth_csv(model, c1: Optional[float], path) -> None:
+    """One row: weights, mean, row-major covariance, the link's slope, shrinkage constant.
 
-    The slope column holds the word "deterministic" for noiseless generation,
-    and the shrinkage column is then empty.
+    The slope column holds the word "deterministic" for the sign link of
+    noiseless generation, and the shrinkage column is then empty.
     """
     row = [*model.beta.tolist(), *model.mu.tolist(), *model.sigma.entries.ravel().tolist()]
-    _write_csv(path, _truth_names(model.d), [row + ["deterministic" if alpha is None else alpha, c1]])
+    slope = "deterministic" if isinstance(model.link, DeterministicLink) else model.link.slope
+    _write_csv(path, _truth_names(model.d), [row + [slope, c1]])
 
 
-def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
-    """The ``(model, alpha, c1)`` that :func:`rankreg.harness.realize_model` returned when ``path`` was written.
+def read_truth_csv(path) -> tuple[ModelSpec, Optional[float]]:
+    """The ``(model, c1)`` of :func:`rankreg.harness.realize_model` that ``path`` was written from.
 
-    Every column is validated as the model is built.  A non-finite value,
-    alpha <= 0, c1 <= 0, a c1 with alpha "deterministic" or an empty c1 with a
-    numeric alpha, a covariance that is not symmetric positive definite, or a
-    header of dimension 0 raises ValueError naming ``path:2``.
+    The alpha column gives ``model.link``: a :class:`LogisticLink` of that slope, or a :class:`DeterministicLink` for
+    "deterministic".  Every column is validated as the model is built.  A non-finite value, alpha <= 0, c1 <= 0, a
+    c1 with alpha "deterministic" or an empty c1 with a numeric alpha, a covariance that is not symmetric positive
+    definite, or a header of dimension 0 raises ValueError naming ``path:2``.
     """
     # A row for dimension d has (d + 1)^2 + 1 fields.  It is read as text since alpha and c1 may hold
     # the noiseless markers; as object, because loadtxt allocates str reads 50000 rows at a time.
@@ -88,26 +89,26 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float], Optional[float]]:
         model = ModelSpec(values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
     except ValueError as exc:  # numpy's LinAlgError included
         raise ValueError(f"{path}:2: {exc}") from exc
-    return model, alpha, c1
+    return model, c1
 
 
 def cmd_generate(args) -> int:
     TrialConfig(args.d, args.n, args.m, args.lambda_min, args.pe, master_seed=args.seed)  # trials' bounds
     stream = RngStream(args.seed)
-    model, alpha, c1 = realize_model(stream, args.d, args.lambda_min, args.pe)
+    model, _, c1 = realize_model(stream, args.d, args.lambda_min, args.pe)
     samples, dataset = simulate(stream, model, args.n, args.m)
     paths = [f"{args.out_prefix}.{kind}.csv" for kind in ("samples", "comparisons", "truth")]
     with _staged(*paths) as (samples_path, comparisons_path, truth_path):  # the three files commit together
         write_samples_csv(samples, samples_path)
         write_comparisons_csv(dataset, comparisons_path)
-        write_truth_csv(model, alpha, c1, truth_path)
+        write_truth_csv(model, c1, truth_path)
     return 0
 
 
 def cmd_estimate(args) -> int:
     samples = read_samples_csv(args.samples)
     dataset = read_comparisons_csv(args.comparisons, samples.n)
-    model, _, c1 = (None, None, None) if args.truth is None else read_truth_csv(args.truth)
+    model, c1 = (None, None) if args.truth is None else read_truth_csv(args.truth)
     if model is not None and model.d != samples.d:
         raise ValueError(f"{args.truth}: truth has d={model.d} but {args.samples} has d={samples.d}")
     try:
@@ -127,7 +128,7 @@ def cmd_calibrate(args) -> int:
     if args.truth is None:
         law = ScoreDifferenceLaw(args.sigma_s)
     else:
-        model, _, _ = read_truth_csv(args.truth)
+        model, _ = read_truth_csv(args.truth)
         law = ScoreDifferenceLaw.from_parameters(model.beta, model.sigma)
     alpha = args.alpha if args.alpha is not None else solve_alpha_for_pe(args.pe, law)
     link = LogisticLink(alpha)

@@ -144,9 +144,8 @@ class ComparisonDataset:
         for name, idx in (("i", i), ("j", j)):
             if idx.min() < 0 or idx.max() >= self.n:
                 raise ValueError(f"{name} contains indices outside [0, {self.n})")
-        for lo, hi in _row_blocks(len(y), _COMPARISON_ROWS):  # masks of one block, not of every label
-            if not ((y[lo:hi] == 1) | (y[lo:hi] == -1)).all():
-                raise ValueError("labels must be -1 or +1")
+        if y.min() < -1 or y.max() > 1 or np.count_nonzero(y) < len(y):
+            raise ValueError("labels must be -1 or +1")
 
     @property
     def m(self) -> int:
@@ -232,7 +231,7 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
 # CSV serialization: every table goes through _write_csv and _read_csv.
 
 
-_FLOAT_BATCH = 1 << 13
+_FLOAT_BATCH = 3072  # values per _float_lines call: its 40 B-per-value temporaries stay under glibc's 128 KiB mmap
 
 
 def _names(prefix: str, count: int) -> list[str]:

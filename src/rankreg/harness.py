@@ -195,24 +195,20 @@ def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
     return _run_trial(config, repetition_index, {})
 
 
-def _realize_inputs(config: TrialConfig) -> tuple:
-    """Everything but the repetition index that ``realize_model`` depends on."""
-    return config.master_seed, config.d, config.lambda_min, config.target_pe
-
-
 def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> TrialResult:
-    """``run_trial`` that takes the repetition's model from ``models`` or realizes it into ``models``.
+    """``run_trial`` that reuses the repetition's model in ``models`` if it was realized from this trial's arguments.
 
-    Every model in ``models`` must have been realized for the same
-    ``_realize_inputs`` as ``config``.  A model that fails to realize is not
+    ``models`` maps a repetition index to the arguments of ``realize_model`` and what it returned for them.  A
+    trial whose arguments differ realizes its model and replaces the entry.  A model that fails to realize is not
     stored, so each trial that needs it tries again and fails the same way.
     """
     start = time.perf_counter()
     try:
         stream = trial_stream(config, repetition_index)
-        if repetition_index not in models:
-            models[repetition_index] = realize_model(stream, config.d, config.lambda_min, config.target_pe)
-        model, _, c1 = models[repetition_index]
+        args = (stream, config.d, config.lambda_min, config.target_pe)
+        if repetition_index not in models or models[repetition_index][0] != args:
+            models[repetition_index] = args, realize_model(*args)
+        model, _, c1 = models[repetition_index][1]
         samples, blocks = _simulated(stream, model, config.n, config.m, _comparison_blocks)
         beta_hat = estimate_beta(blocks, samples)
         ang = angle(beta_hat, model.beta)
@@ -234,14 +230,11 @@ def _aggregate(grid_value, rows) -> GridAggregate:
 def _sweep_points(spec: SweepSpec):
     """Run the grid points in order, yielding each point's trial rows (failures included) and aggregate.
 
-    Each repetition's model is realized once and reused by the following grid
-    points for as long as their realize inputs match, which in n- and m-sweeps
-    is the whole grid.  Only the current inputs' models are held.
+    One model per repetition is held, and the following grid points reuse it for as long as its ``realize_model``
+    arguments are theirs, which in n- and m-sweeps is the whole grid.
     """
-    inputs, models = None, {}
+    models = {}
     for value, config in zip(spec.grid, spec.configs()):
-        if _realize_inputs(config) != inputs:
-            inputs, models = _realize_inputs(config), {}
         rows = []
         for rep in range(config.repetitions):
             try:

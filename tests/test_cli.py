@@ -76,25 +76,25 @@ def test_generate_is_reproducible_byte_for_byte(tmp_path):
 
 
 def test_generate_truth_records_the_link_calibration(tmp_path):
-    _, alpha, c1 = read_truth_csv(_generate(tmp_path, prefix="a").with_suffix(".truth.csv"))
-    assert alpha is None and c1 is None
-    _, alpha, c1 = read_truth_csv(_generate(tmp_path, pe=0.2, prefix="b").with_suffix(".truth.csv"))
-    assert alpha > 0 and c1 > 0
+    model, c1 = read_truth_csv(_generate(tmp_path, prefix="a").with_suffix(".truth.csv"))
+    assert isinstance(model.link, DeterministicLink) and c1 is None
+    model, c1 = read_truth_csv(_generate(tmp_path, pe=0.2, prefix="b").with_suffix(".truth.csv"))
+    assert model.link.slope > 0 and c1 > 0
 
 
 def test_generate_calibrates_a_low_noise_target(tmp_path):
-    _, alpha, c1 = read_truth_csv(_generate(tmp_path, pe=1e-4).with_suffix(".truth.csv"))
-    assert alpha > 0 and c1 > 0
+    model, c1 = read_truth_csv(_generate(tmp_path, pe=1e-4).with_suffix(".truth.csv"))
+    assert model.link.slope > 0 and c1 > 0
 
 
 @pytest.mark.parametrize("pe", [0.0, 0.2])
 def test_read_truth_csv_returns_the_realized_model(tmp_path, pe):
     out = _generate(tmp_path, d=3, n=10, m=5, pe=pe, lam=0.3, seed=9)
     model, alpha, c1 = realize_model(RngStream(9), 3, 0.3, pe)
-    got, got_alpha, got_c1 = read_truth_csv(out.with_suffix(".truth.csv"))
+    got, got_c1 = read_truth_csv(out.with_suffix(".truth.csv"))
     assert np.array_equal(got.beta, model.beta) and np.array_equal(got.mu, model.mu)
     assert np.array_equal(got.sigma.entries, model.sigma.entries)
-    assert (got_alpha, got_c1) == (alpha, c1)
+    assert (got.link, got_c1) == (model.link, c1)
     if pe:
         assert isinstance(got.link, LogisticLink) and got.link.slope == alpha
     else:

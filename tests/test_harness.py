@@ -37,7 +37,7 @@ from rankreg import (
     write_results,
 )
 from rankreg.comparisons import _COMPARISON_ROWS, _expit
-from rankreg.randomness import _BLOCK_ROWS
+from rankreg.randomness import _BLOCK_ROWS, _row_blocks
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
 INJECTED = "injected calibration failure"
@@ -160,17 +160,20 @@ def test_run_trial_noiseless_has_no_shrinkage_constant():
 
 
 def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
-    # 2n*d*8 B of features; i, j and y at 24 B per comparison and the 8 B |y| of the label check; then
-    # one block of fewer than 2 * _BLOCK_ROWS rows of d floats.  The trial peaks ~2.1 MB below the bound
-    # here, so a full-size copy of the features (6.4 MB) or 16 B more per comparison (3.2 MB) breaks it
+    # 2n*d*8 B of features; one comparison block of 66,023 rows at up to 64 B a row while it is drawn and summed
+    # (i, j, y, the uniforms, the score differences and their temporaries); then one block of fewer than
+    # 2 * _BLOCK_ROWS rows of d floats.  Over seeds 0..47 the trial peaks 1.16 MB below the bound, or 0.44 MB if it
+    # is the first to import numpy.random, so a copy of the features (6.4 MB) or all m = 198,070 i, j and y (4.75 MB)
+    # break it
     config = TrialConfig(d=20, n=20_000, m=m_from_n(20_000), lambda_min=0.5, target_pe=0.0)
+    block_rows = max(hi - lo for lo, hi in _row_blocks(config.m, _COMPARISON_ROWS))
     tracemalloc.start()
     try:
         run_trial(config, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * config.n * config.d * 8 + 32 * config.m + 2 * _BLOCK_ROWS * config.d * 8
+    assert peak <= 2 * config.n * config.d * 8 + 64 * block_rows + 2 * _BLOCK_ROWS * config.d * 8
 
 
 def test_a_trial_peak_is_flat_in_the_comparison_budget():
@@ -330,6 +333,19 @@ def test_sweep_rows_match_standalone_trials(swept):
         assert repr(row.angle) == repr(bare.angle)
         assert repr(row.norm_error) == repr(bare.norm_error)
         assert repr(row.c1_used) == repr(bare.c1_used)
+
+
+@pytest.mark.parametrize("field, values", [("d", (2, 3, 2)), ("target_pe", (0.2, 0.0, 0.1, 0.2))])
+def test_one_model_memo_serves_configs_with_other_realize_arguments(field, values):
+    # the trials share a stream where only target_pe differs, so a memo keyed by repetition alone would reuse
+    # the model of another noise level, or of another d
+    models = {}
+    for value in values:
+        config = replace(BASE, **{field: value})
+        for rep in range(config.repetitions):
+            shared, bare = harness._run_trial(config, rep, models), run_trial(config, rep)
+            assert (shared.angle, shared.norm_error, shared.c1_used) == (bare.angle, bare.norm_error, bare.c1_used)
+    assert sorted(models) == list(range(BASE.repetitions))  # one model per repetition
 
 
 # --- smallest qualifying n -------------------------------------------------
