@@ -40,12 +40,13 @@ def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> n
     """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
     ``dataset`` is a :class:`ComparisonDataset`, which iterates as its own blocks, or any iterable of datasets that
-    together hold the comparisons, as a trial draws them one block at a time; only one block's float labels exist
-    at once.  The per-comparison sum of y * (x_i - x_j) collapses to per-row label weights, integer sums of
-    ±1 and so exact in float64: the accumulation costs O(M + Nd) plus two n-bin counts per block, and is independent
-    of the order of the comparison triples and of how they are split into blocks.  The whitening solve is applied
-    once to the accumulated vector.  Raises ValueError when a block indexes another number of rows than ``samples``
-    compares, when ``dataset`` yields no block, or when the result is not finite.
+    together hold the comparisons, as a trial draws them one block at a time.  Each block and its float labels are
+    dropped before the next is asked for, so a trial never holds two blocks' labels.  The per-comparison sum of
+    y * (x_i - x_j) collapses to per-row label weights, integer sums of ±1 and so exact in float64: the accumulation
+    costs O(M + Nd) plus two n-bin counts per block, and is independent of the order of the comparison triples and
+    of how they are split into blocks.  The whitening solve is applied once to the accumulated vector.  Raises
+    ValueError when a block indexes another number of rows than ``samples`` compares, when ``dataset`` yields no
+    block, or when the result is not finite.
     """
     sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
     weights, m = np.zeros(samples.n), 0
@@ -56,6 +57,7 @@ def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> n
         weights += np.bincount(block.i, weights=y, minlength=samples.n)
         weights -= np.bincount(block.j, weights=y, minlength=samples.n)
         m += block.m
+        del block, y  # before the next block is drawn
     if not m:
         raise ValueError("dataset yielded no block of comparisons")
     accumulated = weights @ samples.comparison_half
@@ -73,7 +75,8 @@ def _same_shape(beta_hat, beta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def norm_error(beta_hat: np.ndarray, beta: np.ndarray, c1: float) -> float:
-    """Euclidean distance between the estimate and its expectation c1 * beta."""
+    """Euclidean distance between the estimate and c1 * beta, which includes a bias of c1 * ||beta|| / N: a trial's
+    E[beta_hat] is (1 - 1/N) * c1 * beta, as a self-pair (chance 1/N) counts in M and adds nothing to the sum."""
     if not c1 > 0:
         raise ValueError(f"c1 must be > 0, got {c1}")
     a, b = _same_shape(beta_hat, beta)

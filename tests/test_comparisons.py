@@ -11,6 +11,7 @@ import stat
 import threading
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -252,6 +253,51 @@ def test_comparison_blocks_are_one_draw_of_i_then_j_then_the_uniforms(n, link):
             assert np.array_equal(np.concatenate([getattr(block, name) for block in blocks]), expected), (m, name)
         data = generate_comparisons(RngStream(71), spec, samples, m)
         assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
+
+
+@pytest.mark.parametrize(
+    "link",
+    [DeterministicLink(), LogisticLink(1e-3), LogisticLink(1.0), LogisticLink(1e3)],
+    ids=["sign", "logistic-1e-3", "logistic-1", "logistic-1e3"],
+)
+def test_the_label_rule_is_its_reference_bit_for_bit(link):
+    # every pair of these scores: ties (+0.0 against -0.0 too), infinities, NaN, differences that round to
+    # subnormals, and differences whose exp overflows (slope * |s| > 709); with uniforms at 0, just below 1/2, at 1/2,
+    # just below 1, at the win probability and just below it
+    special = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-308, 1.1e-308, 2.5e-308, 800.0, -800.0, 1e6, -1e6]
+    scores = np.concatenate([special, [np.inf, -np.inf, np.nan], np.random.default_rng(76).normal(0, 3, 40)])
+    si, sj = (a.ravel() for a in np.meshgrid(scores, scores))
+    below_one = np.nextafter(1.0, 0.0)
+    with np.errstate(invalid="ignore"):
+        p = np.minimum(np.nan_to_num(link.prob(si - sj), nan=0.5), below_one)
+        for u in (0.0, np.nextafter(0.5, 0.0), 0.5, below_one, p, np.nextafter(p, 0.0)):
+            u = np.broadcast_to(u, si.shape)
+            expected = np.where(u < link.prob(si - sj), 1, -1)
+            got = comparisons._labels(link, si, sj, u)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
+    # once its consumer drops the first block, its labels die before the second block's i is drawn, and its i by the
+    # time the second block is drawn
+    events = []
+
+    class Generator(np.random.Generator):
+        """Notes each draw of indices i; the copies that draw j and the uniforms are plain generators."""
+
+        def integers(self, *args, **kwargs):
+            events.append("draw i")
+            return super().integers(*args, **kwargs)
+
+    spec, rng = _model(d=3, beta=[0.5, -1.0, 2.0]), SimpleNamespace(generator=lambda: Generator(np.random.PCG64(75)))
+    samples = generate_samples(RngStream(74), spec, 100)
+    blocks = comparisons._comparison_blocks(rng, spec, samples, 3 * comparisons._COMPARISON_ROWS)
+    block = next(blocks)
+    refs = [weakref.ref(block.i, lambda _: events.append("i")), weakref.ref(block.y, lambda _: events.append("y"))]
+    del block
+    next(blocks)
+    assert [ref() for ref in refs] == [None, None]
+    assert events.index("y") < events.index("draw i", 1)
 
 
 def test_a_dataset_iterates_as_views_of_its_blocks():

@@ -248,6 +248,20 @@ def test_estimator_mean_tracks_the_shrunk_weights():
     assert (np.abs(draws.mean(axis=0) - c1 * beta) <= 4 * pooled_se).all()
 
 
+def test_self_pairs_shrink_the_mean_by_one_over_n():
+    # a comparison is a self-pair with chance 1/N and adds 0 to the sum while counting in M, so
+    # E[beta_hat] = (1 - 1/N) * c1 * beta.  At N = 10 the shrink is 0.1, about 8 SE here; over master seeds
+    # 100..123 the mean ratio lay within 2.43 SE of 1 - 1/N and at least 5.67 SE from 1
+    n, m, trials, stream = 10, 1000, 4000, RngStream(15)
+    model, _, c1 = realize_model(stream.child("model"), 2, 1.0, 0.2)
+    beta = model.beta
+    ratios = np.array([estimate_beta(*reversed(simulate(stream.child(t), model, n, m))) @ beta for t in range(trials)])
+    ratios /= c1 * beta @ beta
+    mean, se = ratios.mean(), ratios.std(ddof=1) / math.sqrt(trials)
+    assert abs(mean - (1 - 1 / n)) <= 4 * se
+    assert 1 - mean > 4 * se
+
+
 # --- metrics ---------------------------------------------------------------
 
 
