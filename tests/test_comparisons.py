@@ -89,10 +89,14 @@ def test_logistic_matches_closed_form(x, slope):
 def test_expit_matches_scipy_to_4_ulp_without_warnings():
     tail = np.geomspace(1e-300, 1e308, 1001)
     x = np.concatenate([-tail, tail, np.linspace(-50, 50, 1001), [0.0, np.inf, -np.inf]])
+    x0 = x.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _expit(x)
     np.testing.assert_array_max_ulp(got, scipy.special.expit(x), maxulp=4)
+    # it works in an array of its own, and gives a scalar for a scalar
+    assert np.array_equal(x, x0)
+    assert type(_expit(2.0)) is np.float64 and _expit(2.0) == _expit(np.array([2.0]))[0]
 
 
 @pytest.mark.parametrize("link", [LogisticLink(2.0)])
