@@ -9,7 +9,6 @@ follow the sign of the score difference and exact ties are fair coin flips.
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import itertools
 import os
@@ -26,6 +25,8 @@ from .randomness import _BLOCK_ROWS, RngStream, SpdMatrix, _row_blocks, sample_g
 
 # The fewest rows of a comparison block, unless all m are fewer.  Each block costs estimate_beta two bincounts of n
 # bins: at n = 1e5 and m = 1,151,293 they took 31 ms with 8192-row blocks, 13.5 ms here and 10 ms in one pass.
+# The split is part of the stream, as each block draws its own i, j and uniforms: changing this constant changes
+# every output with m >= 2 * _COMPARISON_ROWS.
 _COMPARISON_ROWS = 1 << 16
 
 
@@ -134,12 +135,14 @@ class ComparisonDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "y", y)
+        for name in "ijy":
+            v = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # NaN and out-of-range values fail the comparison below
+                c = v.astype(np.int64, copy=False)
+            if v.dtype.kind != "i" and not np.array_equal(c, v):  # a signed integer keeps its value in int64
+                raise ValueError(f"{name} contains values that are not 64-bit integers")
+            object.__setattr__(self, name, c)
+        i, j, y = self.i, self.j, self.y
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (i.ndim == j.ndim == y.ndim == 1 and len(i) == len(j) == len(y) >= 1):
@@ -187,33 +190,22 @@ def generate_comparisons(
 def _comparison_blocks(rng: RngStream, spec: ModelSpec, samples: SampleSet, m: int):
     """The m comparisons drawn from ``rng``, as one dataset per block of ``_row_blocks(m, _COMPARISON_ROWS)``.
 
-    Draw order is fixed, so results are reproducible per stream: the indices i as one draw of m bounded integers,
-    then j as another, then the m label uniforms.  A set of more than one block reads them through three copies of
-    the generator, positioned at the start of i, of j (m bounded draws on) and of the uniforms (2m on), one block at
-    a time.  numpy's bounded integers and uniforms split into consecutive draws read the same stream positions as
-    one draw, so every block holds the rows the one draw would.  A single block is read from the one generator in
-    draw order, with no copy and no skipped draw.  Nothing is drawn before the first block is asked for.  Labels come
-    from :func:`_labels` and are not kept here: a block its consumer dropped keeps only i and j, until the next
-    block's are drawn.
+    Draw order is fixed, so results are reproducible per stream: block by block, the block's indices i as one draw of
+    bounded integers, then its j as another, then its label uniforms, all from the one generator.  Nothing is drawn
+    before the first block is asked for.  Labels come from :func:`_labels` and are not kept here: a block its consumer
+    dropped keeps only i and j, until the next block's are drawn.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    n, spans = samples.n, _row_blocks(m, _COMPARISON_ROWS)
+    n = samples.n
 
     def blocks():
-        gi = gj = gu = rng.generator()
-        if len(spans) > 1:
-            gj = copy.deepcopy(gi)
-            for lo, hi in spans:
-                gj.integers(0, n, size=hi - lo)
-            gu = copy.deepcopy(gj)
-            for lo, hi in spans:
-                gu.integers(0, n, size=hi - lo)
+        g = rng.generator()
         scores = samples.comparison_half @ spec.beta
-        for lo, hi in spans:
+        for lo, hi in _row_blocks(m, _COMPARISON_ROWS):
             # i and j go as the next block's are drawn; freeing them sooner let glibc trim the heap at every block
-            i, j = gi.integers(0, n, size=hi - lo), gj.integers(0, n, size=hi - lo)
-            yield ComparisonDataset(n, i, j, _labels(spec.link, scores[i], scores[j], gu.random(hi - lo)))
+            i, j = g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo)
+            yield ComparisonDataset(n, i, j, _labels(spec.link, scores[i], scores[j], g.random(hi - lo)))
 
     return blocks()
 

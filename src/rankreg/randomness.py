@@ -89,6 +89,8 @@ class SpdMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         object.__setattr__(self, "entries", a)
         scale = np.abs(a).max()
+        if not scale < np.inf:  # NaN too, which would pass every check below and give a NaN Cholesky factor
+            raise ValueError("matrix has non-finite entries")
         if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale:
             raise ValueError("matrix is not symmetric")
         # Positive definiteness: raises LinAlgError if any pivot is <= 0.

@@ -157,6 +157,16 @@ def test_comparison_dataset_validation():
         ComparisonDataset(3, [], [], [])
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         ComparisonDataset(0, [0], [0], [1])
+    # the int64 cast would truncate 0.5 to 0 and 1.7 to 1; integral floats keep their values and are accepted
+    data = ComparisonDataset(3, [0.0, 2.0], [1.0, 1.0], [1.0, -1.0])
+    assert data.i.dtype == data.y.dtype == np.int64 and list(data.i) == [0, 2] and list(data.y) == [1, -1]
+    good = ([0, 2], [1, 1], [1, -1])
+    for k, name in enumerate("ijy"):
+        for bad in ([0.5, 2.0], [1.0, np.nan], [1.0, 2.0**63], [1.7, -1.2]):
+            fields = list(good)
+            fields[k] = bad
+            with pytest.raises(ValueError, match=f"^{name} contains values that are not 64-bit integers$"):
+                ComparisonDataset(3, *fields)
 
 
 # --- generation ------------------------------------------------------------
@@ -224,33 +234,23 @@ def test_negating_weights_mirrors_the_label_law():
 
 
 @pytest.mark.parametrize("link", [LogisticLink(1.0), DeterministicLink()], ids=["logistic", "sign"])
-def test_blocked_labels_match_one_draw_of_every_uniform(link):
-    # the labels are drawn one block at a time from the stream positions that one draw of m uniforms reads
-    b, spec = comparisons._BLOCK_ROWS, _model(link=link)
-    samples = generate_samples(RngStream(60), spec, 50)  # one pair in 50 is a self-pair, a coin flip under both links
-    scores = samples.comparison_half @ spec.beta
-    for m in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 24):
-        g = RngStream(61).generator()
-        i, j = g.integers(0, 50, size=m), g.integers(0, 50, size=m)
-        y = np.where(g.random(size=m) < link.prob(scores[i] - scores[j]), 1, -1)
-        data = generate_comparisons(RngStream(61), spec, samples, m)
-        assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
-
-
-@pytest.mark.parametrize("link", [LogisticLink(1.0), DeterministicLink()], ids=["logistic", "sign"])
-@pytest.mark.parametrize("n", [1, 7, 100_000])
-def test_comparison_blocks_are_one_draw_of_i_then_j_then_the_uniforms(n, link):
-    # every block reads the stream positions of one draw of m indices i, then of m indices j, then of m uniforms,
-    # all from the one stream, so no output depends on where the blocks split
+@pytest.mark.parametrize("n", [1, 7, 50, 100_000])
+def test_comparison_blocks_draw_i_then_j_then_the_uniforms_block_by_block(n, link):
+    # each block of _row_blocks(m, b) draws its indices i, then its j, then its uniforms from the one stream, and the
+    # blocks are drawn in order; at n = 50 one pair in 50 is a self-pair, a coin flip under both links
     b, spec = comparisons._COMPARISON_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
     samples = generate_samples(RngStream(70), spec, n)
     scores = samples.comparison_half @ spec.beta
-    for m in (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 5 * b + 7):
-        g = RngStream(71).generator()
-        i, j = g.integers(0, n, size=m), g.integers(0, n, size=m)
-        y = np.where(g.random(size=m) < link.prob(scores[i] - scores[j]), 1, -1)
+    s = comparisons._BLOCK_ROWS  # the sample block rows, which comparison blocks had until they grew to b
+    sizes = (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 5 * b + 7)
+    for m in sizes + (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 3 * s + 24):
+        g, spans, parts = RngStream(71).generator(), comparisons._row_blocks(m, b), []
+        for lo, hi in spans:
+            parts.append((g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo), g.random(hi - lo)))
+        i, j, u = (np.concatenate(draws) for draws in zip(*parts))
+        y = np.where(u < link.prob(scores[i] - scores[j]), 1, -1)
         blocks = list(comparisons._comparison_blocks(RngStream(71), spec, samples, m))
-        assert [block.m for block in blocks] == [hi - lo for lo, hi in comparisons._row_blocks(m, b)], m
+        assert [block.m for block in blocks] == [hi - lo for lo, hi in spans], m
         assert all(block.m >= b for block in blocks) or m < b
         assert all(block.n == n for block in blocks)
         for name, expected in (("i", i), ("j", j), ("y", y)):
@@ -287,10 +287,10 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
     events = []
 
     class Generator(np.random.Generator):
-        """Notes each draw of indices i; the copies that draw j and the uniforms are plain generators."""
+        """Notes each draw of bounded integers: a block's i, then its j."""
 
         def integers(self, *args, **kwargs):
-            events.append("draw i")
+            events.append("integers")
             return super().integers(*args, **kwargs)
 
     spec, rng = _model(d=3, beta=[0.5, -1.0, 2.0]), SimpleNamespace(generator=lambda: Generator(np.random.PCG64(75)))
@@ -301,7 +301,8 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
     del block
     next(blocks)
     assert [ref() for ref in refs] == [None, None]
-    assert events.index("y") < events.index("draw i", 1)
+    second_i = [k for k, event in enumerate(events) if event == "integers"][2]  # after the first block's i and j
+    assert events.index("y") < second_i
 
 
 def test_a_dataset_iterates_as_views_of_its_blocks():

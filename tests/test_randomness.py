@@ -65,6 +65,9 @@ def test_spd_validation():
         SpdMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # asymmetric
     with pytest.raises(np.linalg.LinAlgError):
         SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+    for entries in ([[np.nan]], [[np.inf]], [[-np.inf]], [[1.0, np.nan], [np.nan, 1.0]]):  # NaN: a NaN factor, no error
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            SpdMatrix(np.array(entries))
     m = SpdMatrix(np.array([[4.0, 1.0], [1.0, 2.0]]))
     assert m.dim == 2
     assert np.allclose(m.cholesky @ m.cholesky.T, m.entries, atol=1e-14)
