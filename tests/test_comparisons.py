@@ -241,7 +241,7 @@ def test_comparison_blocks_draw_i_then_j_then_the_uniforms_block_by_block(n, lin
     b, spec = comparisons._COMPARISON_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
     samples = generate_samples(RngStream(70), spec, n)
     scores = samples.comparison_half @ spec.beta
-    s = comparisons._BLOCK_ROWS  # the sample block rows, which comparison blocks had until they grew to b
+    s = comparisons._BLOCK_ROWS  # sizes around the 8192-row blocks of the other kernels, each one comparison block
     sizes = (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 5 * b + 7)
     for m in sizes + (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 3 * s + 24):
         g, spans, parts = RngStream(71).generator(), comparisons._row_blocks(m, b), []
