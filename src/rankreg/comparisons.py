@@ -23,13 +23,6 @@ import numpy as np
 
 from .randomness import _BLOCK_ROWS, RngStream, SpdMatrix, _row_blocks, sample_gaussian
 
-# The fewest rows of a comparison block, unless all m are fewer.  Each block costs estimate_beta two bincounts of n
-# bins: at n = 1e5 and m = 1,151,293 they took 31 ms with 8192-row blocks, 13.5 ms here and 10 ms in one pass.
-# The split is part of the stream, as each block draws its own i, j and uniforms: changing this constant changes
-# every output with m >= 2 * _COMPARISON_ROWS.
-_COMPARISON_ROWS = 1 << 16
-
-
 def _expit(x):
     """1 / (1 + exp(-x)) in one fresh float array, a scalar for a scalar; exactly 0 where exp(-x) overflows."""
     x = np.negative(x, out=np.empty(np.shape(x)))
@@ -125,8 +118,8 @@ class SampleSet:
 class ComparisonDataset:
     """M comparison triples (i, j, y) with 0-based indices into the comparison half.
 
-    A dataset iterates as its own blocks, the datasets of its rows split by ``_row_blocks(m, _COMPARISON_ROWS)``
-    (views, not copies), which is how :func:`estimate_beta` reads it.
+    A dataset iterates as its own blocks, the datasets of its rows split by ``_row_blocks(m)`` (views, not copies),
+    which is how :func:`estimate_beta` reads it.
     """
 
     n: int
@@ -158,7 +151,7 @@ class ComparisonDataset:
         return len(self.y)
 
     def __iter__(self):
-        for lo, hi in _row_blocks(self.m, _COMPARISON_ROWS):
+        for lo, hi in _row_blocks(self.m):
             yield ComparisonDataset(self.n, self.i[lo:hi], self.j[lo:hi], self.y[lo:hi])
 
 
@@ -179,16 +172,13 @@ def generate_comparisons(
     """
     blocks = _comparison_blocks(rng, spec, samples, m)  # checks m before anything is allocated
     i, j, y = np.empty((3, m), np.int64)
-    lo = 0
-    for block in blocks:
-        hi = lo + block.m
+    for (lo, hi), block in zip(_row_blocks(m), blocks):
         i[lo:hi], j[lo:hi], y[lo:hi] = block.i, block.j, block.y
-        lo = hi
     return ComparisonDataset(samples.n, i, j, y)
 
 
 def _comparison_blocks(rng: RngStream, spec: ModelSpec, samples: SampleSet, m: int):
-    """The m comparisons drawn from ``rng``, as one dataset per block of ``_row_blocks(m, _COMPARISON_ROWS)``.
+    """The m comparisons drawn from ``rng``, one dataset per block of ``_row_blocks(m)``, a split the stream depends on.
 
     Draw order is fixed, so results are reproducible per stream: block by block, the block's indices i as one draw of
     bounded integers, then its j as another, then its label uniforms, all from the one generator.  Nothing is drawn
@@ -202,8 +192,7 @@ def _comparison_blocks(rng: RngStream, spec: ModelSpec, samples: SampleSet, m: i
     def blocks():
         g = rng.generator()
         scores = samples.comparison_half @ spec.beta
-        for lo, hi in _row_blocks(m, _COMPARISON_ROWS):
-            # i and j go as the next block's are drawn; freeing them sooner let glibc trim the heap at every block
+        for lo, hi in _row_blocks(m):
             i, j = g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo)
             yield ComparisonDataset(n, i, j, _labels(spec.link, scores[i], scores[j], g.random(hi - lo)))
 
@@ -513,11 +502,11 @@ def _read_csv(path, header, dtype) -> np.ndarray:
     a field that does not parse as ``dtype`` and, for floats, NaN or an infinity
     raise ValueError naming the file and line.
 
-    The body is split after a "\\n" into byte ranges about equal in size, one per CPU and at most
-    one per ``_BLOCK_ROWS`` lines, that this process (the first) and :func:`_forked` children parse,
-    each from exactly its own bytes, a failed child's range here again.  If a range does not parse or
-    has a row count other than its "\\n" count, the body is parsed again line by line here, which
-    finds and names the offending line.
+    The body is split after a "\\n" into byte ranges about equal in size, one per CPU and at most one per
+    ``_BLOCK_ROWS`` lines, that this process (the first) and :func:`_forked` children parse, each from exactly its
+    own bytes, a failed child's range here again.  If a range does not parse or has a row count other than its "\\n"
+    count, the body is parsed again line by line here, which finds and names the offending line.  All of it is read
+    from the one file opened for the header, so a table replaced meanwhile is read as it was when opened.
     """
     lineno = 1
 
@@ -528,14 +517,20 @@ def _read_csv(path, header, dtype) -> np.ndarray:
                 raise ValueError("blank line")
             yield line
 
-    def parse(lo, hi):
-        with open(path, "rb") as g:
-            g.seek(lo)
-            text = g.read(hi - lo)
+    def parse(lo, hi):  # by position, as forked children share the file offset; Linux reads <= 0x7ffff000 B a call
+        text = b""
+        while len(text) < hi - lo and (more := pread(hi - lo - len(text), lo + len(text))):
+            text += more
         rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), dtype=dtype, delimiter=",", comments=None, ndmin=2)
         if len(rows) != text.count(b"\n"):  # loadtxt skips blank lines
             raise ValueError
         return rows
+
+    def pread(size, at):
+        if hasattr(os, "pread"):
+            return os.pread(fb.fileno(), size, at)
+        fb.seek(at)  # where os has no pread it has no fork either: no child shares the offset
+        return fb.read(size)
 
     with _naming(path), open(path) as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # an empty body is the caller's to judge
@@ -543,18 +538,20 @@ def _read_csv(path, header, dtype) -> np.ndarray:
         expected = header(len(names))
         if names != expected:
             raise ValueError(f"{path}:1: expected header {','.join(expected)}, got {','.join(names)!r}")
+        offset, fb = None, f.buffer
         try:  # f.tell() is the body's byte offset, or on a pipe raises, or after a lone "\r" is too large to seek to
-            offset = f.tell()  # before a second open, which on a FIFO would wait for a writer that may be gone
-            with open(path, "rb") as fb:
-                start = fb.seek(offset)
-                block = sum(len(line) for _, line in zip(range(_BLOCK_ROWS), fb))  # bytes in the first block of lines
-                size = fb.seek(0, os.SEEK_END) - start
-                parts = min(_cpu_count(), -(-size // block)) if block else 1
-                cuts = [start] + [fb.seek(start + k * size // parts) + len(fb.readline()) for k in range(1, parts + 1)]
+            offset = f.tell()
+            start = fb.seek(offset)
+            block = sum(len(line) for _, line in zip(range(_BLOCK_ROWS), fb))  # bytes in the first block of lines
+            size = fb.seek(0, os.SEEK_END) - start
+            parts = min(_cpu_count(), -(-size // block)) if block else 1
+            cuts = [start] + [fb.seek(start + k * size // parts) + len(fb.readline()) for k in range(1, parts + 1)]
             with _forked(cuts, lambda out, lo, hi: np.save(out, parse(lo, hi))) as outs:
                 ranges = zip(cuts, cuts[1:], outs)
                 rows = np.concatenate([parse(lo, hi) if out is None else np.load(out) for lo, hi, out in ranges])
         except (ValueError, OSError):  # a bad range, also one a child failed on, or a pipe's f.tell()
+            if offset is not None:
+                f.seek(offset)  # the ranges moved the offset under f's buffer
             try:
                 rows = np.loadtxt(body(f), dtype=dtype, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:

@@ -42,11 +42,11 @@ def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> n
     ``dataset`` is a :class:`ComparisonDataset`, which iterates as its own blocks, or any iterable of datasets that
     together hold the comparisons, as a trial draws them one block at a time.  Each block and its float labels are
     dropped before the next is asked for, so a trial never holds two blocks' labels.  The per-comparison sum of
-    y * (x_i - x_j) collapses to per-row label weights, integer sums of ±1 and so exact in float64: the accumulation
-    costs O(M + Nd) plus two n-bin counts per block, and is independent of the order of the comparison triples and
-    of how they are split into blocks.  The whitening solve is applied once to the accumulated vector.  Raises
-    ValueError when a block indexes another number of rows than ``samples`` compares, when ``dataset`` yields no
-    block, or when the result is not finite.
+    y * (x_i - x_j) collapses to per-row label weights, integer sums of ±1 and so exact in float64, which each block
+    adds in place (``np.add.at``): the accumulation costs O(M + Nd), a block no n-length array, and is independent of
+    the order of the comparison triples and of how they are split into blocks.  The whitening solve is applied once
+    to the accumulated vector.  Raises ValueError when a block indexes another number of rows than ``samples``
+    compares, when ``dataset`` yields no block, or when the result is not finite.
     """
     sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
     weights, m = np.zeros(samples.n), 0
@@ -54,8 +54,8 @@ def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> n
         if block.n != samples.n:
             raise ValueError(f"dataset indexes {block.n} rows but samples provide {samples.n}")
         y = block.y.astype(float)
-        weights += np.bincount(block.i, weights=y, minlength=samples.n)
-        weights -= np.bincount(block.j, weights=y, minlength=samples.n)
+        np.add.at(weights, block.i, y)
+        np.subtract.at(weights, block.j, y)
         m += block.m
         del block, y  # before the next block is drawn
     if not m:

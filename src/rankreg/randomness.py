@@ -17,13 +17,15 @@ from functools import cached_property
 import numpy as np
 
 _UINT64_MASK = (1 << 64) - 1
-_BLOCK_ROWS = 1 << 13  # the fewest rows of a block: BLAS may sum a shorter one in another order than all rows at once
+# The fewest rows of a block: BLAS may sum a shorter one in another order than all rows at once.  Each comparison
+# block draws its own i, j and uniforms, so changing this changes every output with m >= 2 * _BLOCK_ROWS.
+_BLOCK_ROWS = 1 << 13
 
 
-def _row_blocks(count: int, rows: int = _BLOCK_ROWS) -> list:
-    """``range(count)`` split evenly into max(1, count // rows) blocks (lo, hi), or one if count is smaller."""
-    parts = max(1, count // rows)
-    return [(k * count // parts, (k + 1) * count // parts) for k in range(parts)]
+def _row_blocks(count: int):
+    """Every kernel's one split: the max(1, count // _BLOCK_ROWS) even blocks (lo, hi) of range(count), made lazily."""
+    parts = max(1, count // _BLOCK_ROWS)
+    return ((k * count // parts, (k + 1) * count // parts) for k in range(parts))
 
 
 def _mix(*parts) -> int:

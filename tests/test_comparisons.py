@@ -236,15 +236,14 @@ def test_negating_weights_mirrors_the_label_law():
 @pytest.mark.parametrize("link", [LogisticLink(1.0), DeterministicLink()], ids=["logistic", "sign"])
 @pytest.mark.parametrize("n", [1, 7, 50, 100_000])
 def test_comparison_blocks_draw_i_then_j_then_the_uniforms_block_by_block(n, link):
-    # each block of _row_blocks(m, b) draws its indices i, then its j, then its uniforms from the one stream, and the
-    # blocks are drawn in order; at n = 50 one pair in 50 is a self-pair, a coin flip under both links
-    b, spec = comparisons._COMPARISON_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
+    # each block of _row_blocks(m) draws its indices i, then its j, then its uniforms from the one stream, and the
+    # blocks are drawn in order; at n = 50 one pair in 50 is a self-pair, a coin flip under both links.  The blocks
+    # are those of every other kernel, at least b = _BLOCK_ROWS rows each, so m >= 2 * b is more than one block
+    b, spec = comparisons._BLOCK_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
     samples = generate_samples(RngStream(70), spec, n)
     scores = samples.comparison_half @ spec.beta
-    s = comparisons._BLOCK_ROWS  # sizes around the 8192-row blocks of the other kernels, each one comparison block
-    sizes = (1, b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 5 * b + 7)
-    for m in sizes + (s - 1, s, s + 1, 2 * s - 1, 2 * s, 2 * s + 1, 3 * s + 24):
-        g, spans, parts = RngStream(71).generator(), comparisons._row_blocks(m, b), []
+    for m in (1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 24, 5 * b + 7, 16 * b + 3):
+        g, spans, parts = RngStream(71).generator(), list(comparisons._row_blocks(m)), []
         for lo, hi in spans:
             parts.append((g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo), g.random(hi - lo)))
         i, j, u = (np.concatenate(draws) for draws in zip(*parts))
@@ -295,7 +294,7 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
 
     spec, rng = _model(d=3, beta=[0.5, -1.0, 2.0]), SimpleNamespace(generator=lambda: Generator(np.random.PCG64(75)))
     samples = generate_samples(RngStream(74), spec, 100)
-    blocks = comparisons._comparison_blocks(rng, spec, samples, 3 * comparisons._COMPARISON_ROWS)
+    blocks = comparisons._comparison_blocks(rng, spec, samples, 3 * comparisons._BLOCK_ROWS)
     block = next(blocks)
     refs = [weakref.ref(block.i, lambda _: events.append("i")), weakref.ref(block.y, lambda _: events.append("y"))]
     del block
@@ -306,7 +305,7 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
 
 
 def test_a_dataset_iterates_as_views_of_its_blocks():
-    b, rng = comparisons._COMPARISON_ROWS, np.random.default_rng(72)
+    b, rng = comparisons._BLOCK_ROWS, np.random.default_rng(72)
     m = 3 * b + 5
     data = ComparisonDataset(9, rng.integers(0, 9, m), rng.integers(0, 9, m), rng.choice([-1, 1], m))
     blocks = list(data)
@@ -829,6 +828,32 @@ def test_reader_accepts_crlf_lone_cr_and_a_missing_final_newline(tmp_path, monke
     for variant in (lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r"), lf[:-1]):
         path.write_bytes(variant)
         assert read_samples_csv(path).features.tobytes() == want
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_a_table_replaced_while_it_is_read_is_read_whole_as_it_was_when_opened(tmp_path, monkeypatch, parts):
+    # the header, the sizing and every range come from the one file opened first, forked ranges too; here the path
+    # is replaced by another table of the same header and shape as soon as that file has been opened.  Each pread
+    # returns 1000 rows of 12 bytes (Linux returns at most 0x7ffff000), so a range cut after one read would end on a
+    # newline and pass the row count
+    path, other = tmp_path / "s.csv", tmp_path / "other.csv"
+    write_samples_csv(SampleSet(np.full((4 * 8192, 3), 1.0)), path)
+    write_samples_csv(SampleSet(np.full((4 * 8192, 3), 2.0)), other)
+    opened, pread = [], os.pread
+
+    def replacing_open(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        if not opened:
+            opened.append(file)
+            os.replace(other, path)
+        return f
+
+    monkeypatch.setattr(comparisons, "_cpu_count", lambda: parts)
+    monkeypatch.setattr(comparisons, "open", replacing_open, raising=False)
+    monkeypatch.setattr(os, "pread", lambda fd, size, at: pread(fd, min(size, 12 * 1000), at))
+    features = read_samples_csv(path).features
+    assert opened == [path] and not other.exists()
+    assert np.array_equal(features, np.full((4 * 8192, 3), 1.0))
 
 
 # --- golden bytes ------------------------------------------------------------

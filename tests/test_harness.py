@@ -36,7 +36,7 @@ from rankreg import (
     trial_stream,
     write_results,
 )
-from rankreg.comparisons import _COMPARISON_ROWS, _expit
+from rankreg.comparisons import _expit
 from rankreg.randomness import _BLOCK_ROWS, _row_blocks
 
 BASE = TrialConfig(d=2, n=50, m=200, lambda_min=0.5, target_pe=0.2, repetitions=2, master_seed=7)
@@ -161,13 +161,14 @@ def test_run_trial_noiseless_has_no_shrinkage_constant():
 
 def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
     # 2n*d*8 B of features, then the larger of two phases that never overlap: one block of fewer than 2 * _BLOCK_ROWS
-    # rows of d floats, or one comparison block of 66,024 rows at up to 60 B a row while it is drawn and summed.  That
-    # is 49 B a row (i, j, the scores at i and j, the uniforms, the labels and their boolean) plus the n scores and
-    # label weights.  numpy.random is imported first, as its 0.7 MB of module objects are no trial's.  Over seeds
-    # 0..47 the trial peaks 0.39 MB below the bound, so the previous block kept (32 B a row, 2.1 MB), a copy of the
-    # features (6.4 MB) or all m = 198,070 i, j and y (4.75 MB) break it
+    # rows of d floats (the standard normals behind the features, or a centred block of the covariance sum), or one
+    # comparison block of 8253 rows while it is drawn and summed.  That is 49 B a row (i, j, the scores at i and j, the
+    # uniforms, the labels and their boolean) plus 16 B a row of n for the scores and label weights, 0.72 MB here, so
+    # the first phase sets the bound.  numpy.random is imported first, as its 0.7 MB of module objects are no trial's.
+    # Over seeds 0..47 the trial peaks 0.94 MB below the bound, so a copy of the features (6.4 MB) or all
+    # m = 198,070 i, j and y (4.75 MB; gathered, the trial peaked 3.8 MB over the bound) break it
     config = TrialConfig(d=20, n=20_000, m=m_from_n(20_000), lambda_min=0.5, target_pe=0.0)
-    block_rows = max(hi - lo for lo, hi in _row_blocks(config.m, _COMPARISON_ROWS))
+    block_rows = max(hi - lo for lo, hi in _row_blocks(config.m))
     np.random.default_rng()
     tracemalloc.start()
     try:
@@ -175,13 +176,15 @@ def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * config.n * config.d * 8 + max(60 * block_rows, 2 * _BLOCK_ROWS * config.d * 8)
+    comparison_phase = 49 * block_rows + 16 * config.n
+    assert peak <= 2 * config.n * config.d * 8 + max(comparison_phase, 2 * _BLOCK_ROWS * config.d * 8)
 
 
 def test_a_trial_peak_is_flat_in_the_comparison_budget():
     # a trial holds one comparison block, whatever m is: its peak grows by less than one block's i, j and y
-    # (1.5 MB) from m = 2e5 to 2e6, where 33 B per comparison held would add ~59 MB.  The growth was at most
-    # 2 kB over seeds 0..23
+    # (0.2 MB) from m = 2e5 to 2e6, where 33 B per comparison held would add ~59 MB.  The growth was -8.9 to
+    # -8.7 kB over seeds 0..23 (a block of m = 2e6 has 137 fewer rows).  A process's first trial is not measured, as
+    # it also allocates ~1.4 MB that later trials reuse
     def peak(m):
         config = TrialConfig(d=5, n=1000, m=m, lambda_min=1.0, target_pe=0.2, master_seed=3)
         tracemalloc.start()
@@ -191,11 +194,12 @@ def test_a_trial_peak_is_flat_in_the_comparison_budget():
         finally:
             tracemalloc.stop()
 
-    assert peak(2_000_000) - peak(200_000) < _COMPARISON_ROWS * 24
+    peak(200_000)
+    assert peak(2_000_000) - peak(200_000) < _BLOCK_ROWS * 24
 
 
 def test_a_trial_of_many_blocks_estimates_what_its_gathered_comparisons_give(monkeypatch):
-    config = TrialConfig(d=5, n=1000, m=2 * _COMPARISON_ROWS + 3, lambda_min=0.5, target_pe=0.2)
+    config = TrialConfig(d=5, n=1000, m=2 * _BLOCK_ROWS + 3, lambda_min=0.5, target_pe=0.2)
     estimates = []
 
     def spy(dataset, samples):

@@ -213,10 +213,10 @@ def test_blocked_sampling_matches_one_draw_bit_for_bit(d):
 
 def test_row_blocks_split_evenly_into_blocks_of_at_least_block_rows():
     b = randomness._BLOCK_ROWS
-    assert randomness._row_blocks(1) == [(0, 1)]
-    assert randomness._row_blocks(2 * b - 1) == [(0, 2 * b - 1)]
+    assert list(randomness._row_blocks(1)) == [(0, 1)]
+    assert list(randomness._row_blocks(2 * b - 1)) == [(0, 2 * b - 1)]
     for count in (2 * b, 3 * b + 24, 7 * b - 1):
-        blocks = randomness._row_blocks(count)
+        blocks = list(randomness._row_blocks(count))
         assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
         assert blocks[0][0] == 0 and blocks[-1][1] == count and len(blocks) == count // b
         assert all(b <= hi - lo < 2 * b for lo, hi in blocks)
