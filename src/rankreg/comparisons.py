@@ -116,9 +116,9 @@ class SampleSet:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonDataset:
-    """M comparison triples (i, j, y) with 0-based indices into the comparison half.
+    """M comparison triples (i, j, y) with 0-based indices into the comparison half, checked once, as it is made.
 
-    A dataset iterates as its own blocks, the datasets of its rows split by ``_row_blocks(m)`` (views, not copies),
+    A dataset iterates as (i, j, y) views of its rows split by ``_row_blocks(m)``, not copies and not checked again,
     which is how :func:`estimate_beta` reads it.
     """
 
@@ -152,7 +152,7 @@ class ComparisonDataset:
 
     def __iter__(self):
         for lo, hi in _row_blocks(self.m):
-            yield ComparisonDataset(self.n, self.i[lo:hi], self.j[lo:hi], self.y[lo:hi])
+            yield self.i[lo:hi], self.j[lo:hi], self.y[lo:hi]
 
 
 def generate_samples(rng: RngStream, spec: ModelSpec, n: int) -> SampleSet:
@@ -168,35 +168,37 @@ def generate_comparisons(
     """Draw m comparisons: pairs uniform over the comparison half, labels from the link.
 
     Both pair indices are drawn independently, so self-pairs occur; their win probability is exactly 1/2 under
-    every link.  The comparisons are those of :func:`_comparison_blocks`, gathered into one dataset.
+    every link.  The comparisons are the blocks of :class:`_Drawn`, gathered into one dataset, which checks them.
     """
-    blocks = _comparison_blocks(rng, spec, samples, m)  # checks m before anything is allocated
+    drawn = _Drawn(rng, spec, samples, m)  # checks m before anything is allocated
     i, j, y = np.empty((3, m), np.int64)
-    for (lo, hi), block in zip(_row_blocks(m), blocks):
-        i[lo:hi], j[lo:hi], y[lo:hi] = block.i, block.j, block.y
+    for (lo, hi), block in zip(_row_blocks(m), drawn):
+        i[lo:hi], j[lo:hi], y[lo:hi] = block
     return ComparisonDataset(samples.n, i, j, y)
 
 
-def _comparison_blocks(rng: RngStream, spec: ModelSpec, samples: SampleSet, m: int):
-    """The m comparisons drawn from ``rng``, one dataset per block of ``_row_blocks(m)``, a split the stream depends on.
+class _Drawn:
+    """The m comparisons drawn from ``rng``, with a dataset's ``n``, ``m`` and (i, j, y) blocks of ``_row_blocks(m)``.
 
-    Draw order is fixed, so results are reproducible per stream: block by block, the block's indices i as one draw of
-    bounded integers, then its j as another, then its label uniforms, all from the one generator.  Nothing is drawn
-    before the first block is asked for.  Labels come from :func:`_labels` and are not kept here: a block its consumer
-    dropped keeps only i and j, until the next block's are drawn.
+    The split is part of the stream.  Draw order is fixed, so results are reproducible per stream: block by block,
+    the block's indices i as one draw of bounded integers, then its j as another, then its label uniforms, all from
+    one generator made at the start of each iteration, so every iteration draws the same blocks.  Nothing is drawn
+    before the first block is asked for.  The blocks are not checked: the indices are drawn in [0, n) and
+    :func:`_labels` makes only ±1.  Labels are not kept here: a block its consumer dropped keeps only i and j, until
+    the next block's are drawn.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = samples.n
 
-    def blocks():
-        g = rng.generator()
-        scores = samples.comparison_half @ spec.beta
-        for lo, hi in _row_blocks(m):
+    def __init__(self, rng: RngStream, spec: ModelSpec, samples: SampleSet, m: int):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        self.rng, self.spec, self.samples, self.n, self.m = rng, spec, samples, samples.n, m
+
+    def __iter__(self):
+        g, n = self.rng.generator(), self.n
+        scores = self.samples.comparison_half @ self.spec.beta
+        for lo, hi in _row_blocks(self.m):
             i, j = g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo)
-            yield ComparisonDataset(n, i, j, _labels(spec.link, scores[i], scores[j], g.random(hi - lo)))
-
-    return blocks()
+            yield i, j, _labels(self.spec.link, scores[i], scores[j], g.random(hi - lo))
 
 
 def _labels(link: LinkFunction, si: np.ndarray, sj: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -221,6 +223,8 @@ def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSe
     Exact score ties (self-pairs included) have no true winner and count as
     half a flip each.
     """
+    if dataset.n != samples.n:
+        raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
     scores = samples.comparison_half @ spec.beta
     s = scores[dataset.i] - scores[dataset.j]
     flipped = np.where(

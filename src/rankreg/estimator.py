@@ -11,7 +11,6 @@ one d x d linear solve (``numpy.linalg.solve``, an LU factorization).
 from __future__ import annotations
 
 import functools
-from typing import Iterable
 
 import numpy as np
 
@@ -36,32 +35,28 @@ def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     return SpdMatrix((sigma + sigma.T) / 2)
 
 
-def estimate_beta(dataset: Iterable[ComparisonDataset], samples: SampleSet) -> np.ndarray:
+def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
     """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
-    ``dataset`` is a :class:`ComparisonDataset`, which iterates as its own blocks, or any iterable of datasets that
-    together hold the comparisons, as a trial draws them one block at a time.  Each block and its float labels are
-    dropped before the next is asked for, so a trial never holds two blocks' labels.  The per-comparison sum of
-    y * (x_i - x_j) collapses to per-row label weights, integer sums of ±1 and so exact in float64, which each block
-    adds in place (``np.add.at``): the accumulation costs O(M + Nd), a block no n-length array, and is independent of
-    the order of the comparison triples and of how they are split into blocks.  The whitening solve is applied once
-    to the accumulated vector.  Raises ValueError when a block indexes another number of rows than ``samples``
-    compares, when ``dataset`` yields no block, or when the result is not finite.
+    ``dataset`` is a :class:`ComparisonDataset` or anything with its ``n``, ``m`` and iteration as (i, j, y) blocks,
+    as a trial's comparisons, drawn one block at a time.  Each block and its float labels are dropped before the next
+    is asked for, so a trial never holds two blocks' labels.  The per-comparison sum of y * (x_i - x_j) collapses to
+    per-row label weights, integer sums of ±1 and so exact in float64, which each block adds in place
+    (``np.add.at``): the accumulation costs O(M + Nd), a block no n-length array, and is independent of the order of
+    the comparison triples and of how they are split into blocks.  The whitening solve is applied once to the
+    accumulated vector.  Raises ValueError when ``dataset`` indexes another number of rows than ``samples``
+    compares, or when the result is not finite.
     """
+    if dataset.n != samples.n:
+        raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
     sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
-    weights, m = np.zeros(samples.n), 0
-    for block in dataset:
-        if block.n != samples.n:
-            raise ValueError(f"dataset indexes {block.n} rows but samples provide {samples.n}")
-        y = block.y.astype(float)
-        np.add.at(weights, block.i, y)
-        np.subtract.at(weights, block.j, y)
-        m += block.m
-        del block, y  # before the next block is drawn
-    if not m:
-        raise ValueError("dataset yielded no block of comparisons")
-    accumulated = weights @ samples.comparison_half
-    beta_hat = np.linalg.solve(sigma.entries, accumulated) / m
+    weights = np.zeros(samples.n)
+    for i, j, y in dataset:
+        y = y.astype(float)
+        np.add.at(weights, i, y)
+        np.subtract.at(weights, j, y)
+        del i, j, y  # before the next block is drawn
+    beta_hat = np.linalg.solve(sigma.entries, weights @ samples.comparison_half) / dataset.m
     if not np.isfinite(beta_hat).all():
         raise ValueError("beta_hat has non-finite entries")
     return beta_hat

@@ -25,7 +25,7 @@ from .comparisons import (
     DeterministicLink,
     LogisticLink,
     ModelSpec,
-    _comparison_blocks,
+    _Drawn,
     _naming,
     _staged,
     _write_csv,
@@ -179,7 +179,7 @@ def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):
     """(samples, dataset): 2n feature rows, then m labeled comparisons, as trials and ``generate`` draw them.
 
     The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.  A
-    trial reads the same comparisons as the blocks of :func:`_comparison_blocks`, never gathered into one dataset.
+    trial reads the same comparisons as the blocks of a :class:`_Drawn`, never gathered into one dataset or checked.
     """
     return _simulated(stream, model, n, m, generate_comparisons)
 
@@ -209,8 +209,8 @@ def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> Tria
         if repetition_index not in models or models[repetition_index][0] != args:
             models[repetition_index] = args, realize_model(*args)
         model, _, c1 = models[repetition_index][1]
-        samples, blocks = _simulated(stream, model, config.n, config.m, _comparison_blocks)
-        beta_hat = estimate_beta(blocks, samples)
+        samples, drawn = _simulated(stream, model, config.n, config.m, _Drawn)
+        beta_hat = estimate_beta(drawn, samples)
         ang = angle(beta_hat, model.beta)
         err = None if c1 is None else norm_error(beta_hat, model.beta, c1)
     except Exception as exc:

@@ -248,12 +248,14 @@ def test_comparison_blocks_draw_i_then_j_then_the_uniforms_block_by_block(n, lin
             parts.append((g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo), g.random(hi - lo)))
         i, j, u = (np.concatenate(draws) for draws in zip(*parts))
         y = np.where(u < link.prob(scores[i] - scores[j]), 1, -1)
-        blocks = list(comparisons._comparison_blocks(RngStream(71), spec, samples, m))
-        assert [block.m for block in blocks] == [hi - lo for lo, hi in spans], m
-        assert all(block.m >= b for block in blocks) or m < b
-        assert all(block.n == n for block in blocks)
-        for name, expected in (("i", i), ("j", j), ("y", y)):
-            assert np.array_equal(np.concatenate([getattr(block, name) for block in blocks]), expected), (m, name)
+        drawn = comparisons._Drawn(RngStream(71), spec, samples, m)
+        assert (drawn.n, drawn.m) == (n, m)
+        blocks = list(drawn)
+        assert all(len(block) == 3 for block in blocks)
+        assert [len(block[2]) for block in blocks] == [hi - lo for lo, hi in spans], m
+        assert all(len(block[2]) >= b for block in blocks) or m < b
+        for k, (name, expected) in enumerate((("i", i), ("j", j), ("y", y))):
+            assert np.array_equal(np.concatenate([block[k] for block in blocks]), expected), (m, name)
         data = generate_comparisons(RngStream(71), spec, samples, m)
         assert np.array_equal(data.i, i) and np.array_equal(data.j, j) and np.array_equal(data.y, y), m
 
@@ -294,9 +296,9 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
 
     spec, rng = _model(d=3, beta=[0.5, -1.0, 2.0]), SimpleNamespace(generator=lambda: Generator(np.random.PCG64(75)))
     samples = generate_samples(RngStream(74), spec, 100)
-    blocks = comparisons._comparison_blocks(rng, spec, samples, 3 * comparisons._BLOCK_ROWS)
+    blocks = iter(comparisons._Drawn(rng, spec, samples, 3 * comparisons._BLOCK_ROWS))
     block = next(blocks)
-    refs = [weakref.ref(block.i, lambda _: events.append("i")), weakref.ref(block.y, lambda _: events.append("y"))]
+    refs = [weakref.ref(block[0], lambda _: events.append("i")), weakref.ref(block[2], lambda _: events.append("y"))]
     del block
     next(blocks)
     assert [ref() for ref in refs] == [None, None]
@@ -309,12 +311,22 @@ def test_a_dataset_iterates_as_views_of_its_blocks():
     m = 3 * b + 5
     data = ComparisonDataset(9, rng.integers(0, 9, m), rng.integers(0, 9, m), rng.choice([-1, 1], m))
     blocks = list(data)
-    assert [block.m for block in blocks] == [b + 1, b + 2, b + 2]
-    for name in "ijy":
-        parts = [getattr(block, name) for block in blocks]
+    assert [tuple(map(len, block)) for block in blocks] == [(b + 1,) * 3, (b + 2,) * 3, (b + 2,) * 3]
+    for k, name in enumerate("ijy"):
+        parts = [block[k] for block in blocks]
         assert all(np.shares_memory(part, getattr(data, name)) for part in parts)
         assert np.array_equal(np.concatenate(parts), getattr(data, name))
-    assert [block.m for block in ComparisonDataset(3, [0, 2], [1, 1], [1, -1])] == [2]
+    assert [len(block[2]) for block in ComparisonDataset(3, [0, 2], [1, 1], [1, -1])] == [2]
+
+
+def test_drawn_comparisons_iterated_again_draw_the_same_blocks():
+    spec = _model(d=3, beta=[0.5, -1.0, 2.0])
+    samples = generate_samples(RngStream(77), spec, 60)
+    drawn = comparisons._Drawn(RngStream(78), spec, samples, 2 * comparisons._BLOCK_ROWS + 9)
+    first, second = list(drawn), list(drawn)
+    assert len(first) == len(second) == 2
+    for a, b in zip(first, second):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_a_dataset_checks_its_labels_without_a_copy_of_them():
@@ -343,6 +355,15 @@ def test_flip_fraction_noiseless_and_negated():
     assert flip_fraction(data, spec, samples) == ties
     negated = ComparisonDataset(data.n, data.i, data.j, -data.y)
     assert flip_fraction(negated, spec, samples) == 1.0 - ties
+
+
+def test_flip_fraction_checks_the_dataset_against_the_samples():
+    # a dataset of 30 rows read against 40 would give 1.0 here, and one indexing row 45 an IndexError
+    spec = _model(d=1, beta=[2.0])
+    samples = SampleSet(np.arange(80.0).reshape(80, 1))
+    for dataset in (ComparisonDataset(30, [0, 1], [2, 3], [1, -1]), ComparisonDataset(50, [45, 1], [2, 3], [1, -1])):
+        with pytest.raises(ValueError, match=f"dataset indexes {dataset.n} rows but samples provide 40"):
+            flip_fraction(dataset, spec, samples)
 
 
 def test_generation_validates_counts():

@@ -32,6 +32,7 @@ from rankreg import (
     trial_stream,
     write_estimate_csv,
 )
+from rankreg import comparisons
 from rankreg.randomness import _BLOCK_ROWS, sample_ground_truth
 
 
@@ -212,21 +213,45 @@ def test_estimate_validates_inputs():
 def test_estimate_of_blocks_is_the_estimate_of_their_dataset():
     samples, dataset = _random_instance(41, m=5000)
     cuts = [0, 1, 1700, 1701, 5000]
-    blocks = [ComparisonDataset(40, dataset.i[a:b], dataset.j[a:b], dataset.y[a:b]) for a, b in zip(cuts, cuts[1:])]
-    assert np.array_equal(estimate_beta(iter(blocks), samples), estimate_beta(dataset, samples))
+
+    class Blocks:
+        """The dataset's comparisons cut at ``cuts``: its n and m, and (i, j, y) blocks."""
+
+        n, m = dataset.n, dataset.m
+
+        def __iter__(self):
+            return ((dataset.i[a:b], dataset.j[a:b], dataset.y[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+    assert np.array_equal(estimate_beta(Blocks(), samples), estimate_beta(dataset, samples))
 
 
-def test_estimate_checks_every_block_against_the_samples():
-    samples, dataset = _random_instance(42)
-    stray = ComparisonDataset(30, [0, 1], [2, 3], [1, -1])
+def test_estimate_checks_drawn_comparisons_against_the_samples():
+    samples, _ = _random_instance(42)
+    spec = ModelSpec(np.ones(3), np.zeros(3), SpdMatrix(np.eye(3)), LogisticLink(2.0))
+    drawn = comparisons._Drawn(RngStream(43), spec, generate_samples(RngStream(44), spec, 30), 500)
     with pytest.raises(ValueError, match="dataset indexes 30 rows but samples provide 40"):
-        estimate_beta([dataset, stray], samples)
+        estimate_beta(drawn, samples)
 
 
-def test_estimate_of_no_block_says_so():
-    samples, _ = _random_instance(43)
-    with pytest.raises(ValueError, match="yielded no block"):
-        estimate_beta(iter([]), samples)
+def test_no_dataset_is_made_per_block(monkeypatch):
+    # a trial reads its drawn blocks unchecked, generate checks its gathered comparisons once, and an estimate reads
+    # a dataset's views without making a dataset of each
+    made, check = [], ComparisonDataset.__post_init__
+
+    def counted(self):
+        made.append(len(self.y))
+        check(self)
+
+    monkeypatch.setattr(ComparisonDataset, "__post_init__", counted)
+    config = TrialConfig(d=5, n=1000, m=2 * _BLOCK_ROWS + 3, lambda_min=0.5, target_pe=0.2)
+    run_trial(config, 1)
+    assert made == []
+    stream = trial_stream(config, 1)
+    model = realize_model(stream, config.d, config.lambda_min, config.target_pe)[0]
+    samples, dataset = simulate(stream, model, config.n, config.m)
+    assert made == [config.m]
+    estimate_beta(dataset, samples)
+    assert made == [config.m]
 
 
 def test_estimator_mean_tracks_the_shrunk_weights():
