@@ -115,12 +115,15 @@ def cmd_estimate(args) -> int:
         beta_hat = estimate_beta(dataset, samples)
     except ValueError as exc:  # too few covariance rows, a singular half or overflow: the samples are at fault
         raise ValueError(f"{args.samples}: {exc}") from exc
-    write_estimate_csv(beta_hat, samples.n, dataset.m, args.out)
-    print("beta_hat=" + ",".join(repr(float(v)) for v in beta_hat))
+    lines = ["beta_hat=" + ",".join(repr(float(v)) for v in beta_hat)]
     if model is not None:
+        if not beta_hat.any():  # every row's label weights cancel out, as in a table of self-pairs
+            raise ValueError(f"{args.comparisons}: the estimate is zero, so its angle to the truth is undefined")
         if c1 is not None:
-            print(f"norm_error={norm_error(beta_hat, model.beta, c1)!r}")
-        print(f"angle={angle(beta_hat, model.beta)!r}")
+            lines.append(f"norm_error={norm_error(beta_hat, model.beta, c1)!r}")
+        lines.append(f"angle={angle(beta_hat, model.beta)!r}")
+    write_estimate_csv(beta_hat, samples.n, dataset.m, args.out)  # only once every line to print is known
+    print("\n".join(lines))
     return 0
 
 

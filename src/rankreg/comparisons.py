@@ -602,14 +602,16 @@ def write_comparisons_csv(dataset: ComparisonDataset, path) -> None:
 
 def read_comparisons_csv(path, n: int) -> ComparisonDataset:
     """Read triples written by :func:`write_comparisons_csv` for a size-n comparison half."""
-    i, j, y = _read_csv(path, lambda width: ["i", "j", "y"], np.int64).T
-    if not len(y):
+    rows = _read_csv(path, lambda width: ["i", "j", "y"], np.int64)
+    if not len(rows):
         raise ValueError(f"{path}: no comparison rows")
-    bad_index = (np.minimum(i, j) < 1) | (np.maximum(i, j) > n)
-    bad_label = np.abs(y) != 1
-    row = (bad_index | bad_label).argmax()
-    if bad_index[row]:
-        raise ValueError(f"{path}:{row + 2}: index outside [1, {n}]")
-    if bad_label[row]:
-        raise ValueError(f"{path}:{row + 2}: label must be -1 or 1, got {y[row]}")
-    return ComparisonDataset(n, i - 1, j - 1, y)
+    rows[:, :2] -= 1  # 0-based in place; an index of -2**63 wraps to 2**63 - 1, outside [0, n) all the same
+    try:
+        return ComparisonDataset(n, *rows.T)  # views of the one table, checked once, by the dataset
+    except ValueError:  # only a rejected table is searched again, for its first bad line
+        i, j, y = rows.T
+        bad_index = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        row = (bad_index | (np.abs(y) != 1)).argmax()
+        if bad_index[row]:
+            raise ValueError(f"{path}:{row + 2}: index outside [1, {n}]") from None
+        raise ValueError(f"{path}:{row + 2}: label must be -1 or 1, got {y[row]}") from None

@@ -13,6 +13,7 @@ read as such an n-sweep, by the same key=value parser as a ``sweep`` config.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import astuple, dataclass, replace
@@ -192,23 +193,15 @@ def _simulated(stream: RngStream, model: ModelSpec, n: int, m: int, draw) -> tup
 
 def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
     """One full generate/estimate pass; any module error is wrapped with the config."""
-    return _run_trial(config, repetition_index, {})
+    return _run_trial(config, repetition_index, realize_model)
 
 
-def _run_trial(config: TrialConfig, repetition_index: int, models: dict) -> TrialResult:
-    """``run_trial`` that reuses the repetition's model in ``models`` if it was realized from this trial's arguments.
-
-    ``models`` maps a repetition index to the arguments of ``realize_model`` and what it returned for them.  A
-    trial whose arguments differ realizes its model and replaces the entry.  A model that fails to realize is not
-    stored, so each trial that needs it tries again and fails the same way.
-    """
+def _run_trial(config: TrialConfig, repetition_index: int, realize) -> TrialResult:
+    """``run_trial`` that takes its model from ``realize``, called with :func:`realize_model`'s arguments."""
     start = time.perf_counter()
     try:
         stream = trial_stream(config, repetition_index)
-        args = (stream, config.d, config.lambda_min, config.target_pe)
-        if repetition_index not in models or models[repetition_index][0] != args:
-            models[repetition_index] = args, realize_model(*args)
-        model, _, c1 = models[repetition_index][1]
+        model, _, c1 = realize(stream, config.d, config.lambda_min, config.target_pe)
         samples, drawn = _simulated(stream, model, config.n, config.m, _Drawn)
         beta_hat = estimate_beta(drawn, samples)
         ang = angle(beta_hat, model.beta)
@@ -230,15 +223,15 @@ def _aggregate(grid_value, rows) -> GridAggregate:
 def _sweep_points(spec: SweepSpec):
     """Run the grid points in order, yielding each point's trial rows (failures included) and aggregate.
 
-    One model per repetition is held, and the following grid points reuse it for as long as its ``realize_model``
-    arguments are theirs, which in n- and m-sweeps is the whole grid.
+    Models come from one ``lru_cache`` of ``realize_model`` that holds a grid point's models.  Later points reuse them
+    while their arguments match, which in n- and m-sweeps is the whole grid.  A failure is not cached.
     """
-    models = {}
+    realize = functools.lru_cache(maxsize=spec.base.repetitions)(realize_model)
     for value, config in zip(spec.grid, spec.configs()):
         rows = []
         for rep in range(config.repetitions):
             try:
-                rows.append(_run_trial(config, rep, models))
+                rows.append(_run_trial(config, rep, realize))
             except TrialExecutionError as exc:
                 rows.append(TrialFailure(config, rep, str(exc)))
         yield rows, _aggregate(value, rows)

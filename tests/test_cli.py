@@ -413,6 +413,25 @@ def test_estimate_rejects_malformed_comparisons(tmp_path, capsys):
     assert err.startswith("error:") and ":2:" in err
 
 
+def test_estimate_with_truth_rejects_a_zero_estimate_before_writing_or_printing(tmp_path, capsys):
+    out = _generate(tmp_path, d=2, n=10, m=5, pe=0.2, seed=1)
+    self_pairs = tmp_path / "self.csv"
+    self_pairs.write_text("i,j,y\n1,1,1\n2,2,-1\n")  # every label weight cancels, so beta_hat = 0
+    rc = main(
+        [
+            "estimate",
+            "--samples", str(out.with_suffix(".samples.csv")),
+            "--comparisons", str(self_pairs),
+            "--truth", str(out.with_suffix(".truth.csv")),
+            "--out", str(tmp_path / "bh.csv"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {self_pairs}: ") and "zero" in captured.err
+    assert not (tmp_path / "bh.csv").exists()
+
+
 def test_estimate_names_the_line_of_a_non_finite_sample(tmp_path, capsys):
     out = _generate(tmp_path, d=2, n=10, m=5)
     path = out.with_suffix(".samples.csv")

@@ -398,6 +398,15 @@ def test_comparisons_csv_round_trip(tmp_path):
     assert np.array_equal(back.y, data.y)
 
 
+def test_a_dataset_read_from_csv_holds_one_table(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("i,j,y\n1,2,1\n5,1,-1\n3,3,1\n")
+    back = read_comparisons_csv(path, 5)
+    # columns of one table: their bounds overlap, though no element is shared; a 0-based copy would overlap nothing
+    assert np.may_share_memory(back.i, back.y) and np.may_share_memory(back.j, back.y)
+    assert back.i.tolist() == [0, 4, 2] and back.j.tolist() == [1, 0, 2] and back.y.tolist() == [1, -1, 1]
+
+
 def test_comparisons_csv_spanning_several_write_blocks(tmp_path):
     rng = np.random.default_rng(0)
     m = 2 * 8192 + 5

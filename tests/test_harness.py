@@ -1,5 +1,6 @@
 """Tests for trial orchestration, sweeps, result files, and config parsing."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -345,13 +346,21 @@ def test_sweep_rows_match_standalone_trials(swept):
 def test_one_model_memo_serves_configs_with_other_realize_arguments(field, values):
     # the trials share a stream where only target_pe differs, so a memo keyed by repetition alone would reuse
     # the model of another noise level, or of another d
-    models = {}
+    realize = functools.lru_cache(maxsize=BASE.repetitions)(realize_model)
     for value in values:
         config = replace(BASE, **{field: value})
         for rep in range(config.repetitions):
-            shared, bare = harness._run_trial(config, rep, models), run_trial(config, rep)
+            shared, bare = harness._run_trial(config, rep, realize), run_trial(config, rep)
             assert (shared.angle, shared.norm_error, shared.c1_used) == (bare.angle, bare.norm_error, bare.c1_used)
-    assert sorted(models) == list(range(BASE.repetitions))  # one model per repetition
+    assert realize.cache_info().currsize == BASE.repetitions  # one model per repetition
+
+
+def test_a_model_that_fails_to_realize_is_realized_again_by_each_trial(realize_calls, monkeypatch):
+    _fail_calibration(monkeypatch)
+    spec = GRID_SWEEPS["n"]
+    result = run_sweep(spec)
+    assert all(isinstance(row, TrialFailure) for row in result.rows)
+    assert len(realize_calls) == len(result.rows) == spec.base.repetitions * len(spec.grid)
 
 
 # --- smallest qualifying n -------------------------------------------------
