@@ -66,7 +66,7 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float]]:
     The alpha column gives ``model.link``: a :class:`LogisticLink` of that slope, or a :class:`DeterministicLink` for
     "deterministic".  Every column is validated as the model is built.  A non-finite value, alpha <= 0, c1 <= 0, a
     c1 with alpha "deterministic" or an empty c1 with a numeric alpha, a covariance that is not symmetric positive
-    definite, or a header of dimension 0 raises ValueError naming ``path:2``.
+    definite, a header of dimension 0 or a beta of zeros raises ValueError naming ``path:2``.
     """
     # A row for dimension d has (d + 1)^2 + 1 fields.  It is read as text since alpha and c1 may hold
     # the noiseless markers; as object, because loadtxt allocates str reads 50000 rows at a time.
@@ -87,6 +87,8 @@ def read_truth_csv(path) -> tuple[ModelSpec, Optional[float]]:
             raise ValueError(f"c1 must be > 0, got {c1}")
         link = DeterministicLink() if alpha is None else LogisticLink(alpha)
         model = ModelSpec(values[:d], values[d : 2 * d], SpdMatrix(values[2 * d :].reshape(d, d)), link)
+        if not model.beta.any():  # no score differs: no angle to it, no noise rate
+            raise ValueError("beta is all zeros")
     except ValueError as exc:  # numpy's LinAlgError included
         raise ValueError(f"{path}:2: {exc}") from exc
     return model, c1

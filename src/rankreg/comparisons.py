@@ -218,19 +218,16 @@ def _labels(link: LinkFunction, si: np.ndarray, sj: np.ndarray, u: np.ndarray) -
 
 
 def flip_fraction(dataset: ComparisonDataset, spec: ModelSpec, samples: SampleSet) -> float:
-    """Fraction of labels disagreeing with the sign of the true score difference.
+    """Fraction of labels disagreeing with the sign of the true score difference s = s_i - s_j; NaN if an s is NaN.
 
-    Exact score ties (self-pairs included) have no true winner and count as
-    half a flip each.
+    ``dataset`` is read as by :func:`estimate_beta`, one (i, j, y) block at a time.  An exact tie (a self-pair too) has
+    no true winner and counts as half a flip, so with sign(0) = 0 the fraction is (m - Σ y sign(s)) / 2m, exactly.
     """
     if dataset.n != samples.n:
         raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
     scores = samples.comparison_half @ spec.beta
-    s = scores[dataset.i] - scores[dataset.j]
-    flipped = np.where(
-        s == 0, 0.5, ((s > 0) & (dataset.y == -1)) | ((s < 0) & (dataset.y == 1))
-    )
-    return float(flipped.mean())
+    agreement = sum(itertools.starmap(lambda i, j, y: float(np.sign(scores[i] - scores[j]) @ y), dataset))
+    return (dataset.m - agreement) / (2 * dataset.m)
 
 
 # ---------------------------------------------------------------------------

@@ -35,28 +35,35 @@ def estimate_covariance(samples: SampleSet) -> SpdMatrix:
     return SpdMatrix((sigma + sigma.T) / 2)
 
 
+def _label_weights(comparisons) -> np.ndarray:
+    """Per-row label weights w_r = Σ_k y_k ([i_k = r] - [j_k = r]), of length ``comparisons.n``.
+
+    ``comparisons`` has a dataset's ``n`` and iterates as (i, j, y) blocks, as a :class:`ComparisonDataset` or a
+    trial's comparisons, drawn one block at a time.  Each block adds into the weights in place (``np.add.at``), so it
+    costs its own length and no n-length array, and it and its float labels are dropped before the next is asked for.
+    The weights are integer sums of ±1, exact in float64, so neither the triples' order nor the blocks change them.
+    """
+    weights = np.zeros(comparisons.n)
+    for i, j, y in comparisons:
+        y = y.astype(float)  # int64 labels added into float weights put np.add.at on its casting path, ~30x slower
+        np.add.at(weights, i, y)
+        np.subtract.at(weights, j, y)
+        del i, j, y  # before the next block is drawn
+    return weights
+
+
 def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
     """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
-    ``dataset`` is a :class:`ComparisonDataset` or anything with its ``n``, ``m`` and iteration as (i, j, y) blocks,
-    as a trial's comparisons, drawn one block at a time.  Each block and its float labels are dropped before the next
-    is asked for, so a trial never holds two blocks' labels.  The per-comparison sum of y * (x_i - x_j) collapses to
-    per-row label weights, integer sums of ±1 and so exact in float64, which each block adds in place
-    (``np.add.at``): the accumulation costs O(M + Nd), a block no n-length array, and is independent of the order of
-    the comparison triples and of how they are split into blocks.  The whitening solve is applied once to the
-    accumulated vector.  Raises ValueError when ``dataset`` indexes another number of rows than ``samples``
+    ``dataset`` is what :func:`_label_weights` reads, with its ``m``, and is read once, by it: the sum of
+    y * (x_i - x_j) over the comparisons is the label weights times the comparison rows, O(M + Nd), and the whitening
+    solve is applied once to it.  Raises ValueError when ``dataset`` indexes another number of rows than ``samples``
     compares, or when the result is not finite.
     """
     if dataset.n != samples.n:
         raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
     sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
-    weights = np.zeros(samples.n)
-    for i, j, y in dataset:
-        y = y.astype(float)  # int64 labels added into float weights put np.add.at on its casting path, ~30x slower
-        np.add.at(weights, i, y)
-        np.subtract.at(weights, j, y)
-        del i, j, y  # before the next block is drawn
-    beta_hat = np.linalg.solve(sigma.entries, weights @ samples.comparison_half) / dataset.m
+    beta_hat = np.linalg.solve(sigma.entries, _label_weights(dataset) @ samples.comparison_half) / dataset.m
     if not np.isfinite(beta_hat).all():
         raise ValueError("beta_hat has non-finite entries")
     return beta_hat

@@ -450,6 +450,29 @@ def test_estimate_names_the_line_of_a_non_finite_sample(tmp_path, capsys):
     assert f"{path}:5: value is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_a_truth_of_zero_weights_is_rejected_at_its_line(tmp_path, capsys, command):
+    # the angle to a zero beta and the noise rate of its score differences are undefined
+    out = _generate(tmp_path, d=2, n=10, m=5, pe=0.2, seed=1)
+    truth = out.with_suffix(".truth.csv")
+    header, row = truth.read_text().splitlines()
+    truth.write_text(f"{header}\n{','.join(['0.0', '0.0'] + row.split(',')[2:])}\n")
+    before = sorted(tmp_path.iterdir())
+    args = {
+        "estimate": [
+            "--samples", str(out.with_suffix(".samples.csv")),
+            "--comparisons", str(out.with_suffix(".comparisons.csv")),
+            "--out", str(tmp_path / "bh.csv"),
+        ],
+        "calibrate": ["--pe", "0.2"],
+    }[command]
+    rc = main([command, *args, "--truth", str(truth)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {truth}:2: ") and "beta" in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 _TRUTH_1 = "beta_1,mu_1,sigma_1_1,alpha,c1\n"
 _TRUTH_2 = "beta_1,beta_2,mu_1,mu_2,sigma_1_1,sigma_1_2,sigma_2_1,sigma_2_2,alpha,c1\n"
 

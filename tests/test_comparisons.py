@@ -366,6 +366,58 @@ def test_flip_fraction_checks_the_dataset_against_the_samples():
             flip_fraction(dataset, spec, samples)
 
 
+def _whole_array_flip_fraction(dataset, spec, samples):
+    """flip_fraction as one whole-array read: a flag per comparison, 0.5 at a tie."""
+    scores = samples.comparison_half @ spec.beta
+    s = scores[dataset.i] - scores[dataset.j]
+    return float(np.where(s == 0, 0.5, ((s > 0) & (dataset.y == -1)) | ((s < 0) & (dataset.y == 1))).mean())
+
+
+@pytest.mark.parametrize("link", [DeterministicLink(), LogisticLink(1.0)], ids=["sign", "logistic"])
+@pytest.mark.parametrize("m", [1, comparisons._BLOCK_ROWS - 1, 2 * comparisons._BLOCK_ROWS + 9])
+def test_flip_fraction_of_drawn_comparisons_is_that_of_their_dataset(link, m):
+    spec = _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
+    samples = generate_samples(RngStream(80), spec, 40)
+    drawn = comparisons._Drawn(RngStream(81), spec, samples, m)
+    data = generate_comparisons(RngStream(81), spec, samples, m)
+    expected = _whole_array_flip_fraction(data, spec, samples)
+    assert flip_fraction(drawn, spec, samples) == flip_fraction(data, spec, samples) == expected
+
+
+@pytest.mark.parametrize(
+    "link", [DeterministicLink(), LogisticLink(0.3), LogisticLink(1.0), LogisticLink(5.0)], ids=str
+)
+def test_flip_fraction_is_the_whole_array_formula_bit_for_bit(link):
+    # rows repeat, so pairs of distinct rows tie as well as self-pairs; m from one comparison to several blocks
+    spec = _model(d=2, beta=[1.0, -2.0], link=link)
+    samples = SampleSet(np.random.default_rng(82).integers(-2, 3, (60, 2)).astype(float))
+    for seed, m in enumerate((1, 5, 999, comparisons._BLOCK_ROWS, 3 * comparisons._BLOCK_ROWS + 7)):
+        data = generate_comparisons(RngStream(83, seed), spec, samples, m)
+        assert flip_fraction(data, spec, samples) == _whole_array_flip_fraction(data, spec, samples), m
+
+
+def test_flip_fraction_holds_a_few_blocks_of_drawn_comparisons():
+    # 12 blocks drawn and read one at a time; the peak, 2.7 blocks' (i, j, y) bytes, was the same at 2 and 40 blocks
+    b, spec = comparisons._BLOCK_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0])
+    samples = generate_samples(RngStream(84), spec, 50)
+    drawn = comparisons._Drawn(RngStream(85), spec, samples, 12 * b)
+    tracemalloc.start()
+    try:
+        flip_fraction(drawn, spec, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 24 * b  # four blocks of (i, j, y); all 12 blocks' would be 2.4 MB
+
+
+def test_a_nan_score_difference_makes_the_flip_fraction_nan():
+    # a NaN difference has no sign, so its label is neither right nor wrong; a fraction that reads low would hide it
+    spec = _model(d=1, beta=[1.0])
+    samples = SampleSet(np.array([[0.0], [np.nan], [2.0], [0.0], [0.0], [0.0]]))
+    assert math.isnan(flip_fraction(ComparisonDataset(3, [0, 1, 2], [2, 0, 0], [-1, 1, 1]), spec, samples))
+    assert flip_fraction(ComparisonDataset(3, [0, 2], [2, 0], [-1, 1]), spec, samples) == 0.0
+
+
 def test_generation_validates_counts():
     spec = _model()
     with pytest.raises(ValueError):

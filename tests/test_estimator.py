@@ -33,6 +33,7 @@ from rankreg import (
     write_estimate_csv,
 )
 from rankreg import comparisons
+from rankreg.estimator import _label_weights
 from rankreg.randomness import _BLOCK_ROWS, sample_ground_truth
 
 
@@ -223,6 +224,19 @@ def test_estimate_of_blocks_is_the_estimate_of_their_dataset():
             return ((dataset.i[a:b], dataset.j[a:b], dataset.y[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     assert np.array_equal(estimate_beta(Blocks(), samples), estimate_beta(dataset, samples))
+
+
+def test_label_weights_of_drawn_blocks_are_the_bincount_of_their_dataset():
+    spec = ModelSpec(np.ones(3), np.zeros(3), SpdMatrix(np.eye(3)), LogisticLink(2.0))
+    samples, m = generate_samples(RngStream(45), spec, 30), 3 * _BLOCK_ROWS + 5
+    drawn = comparisons._Drawn(RngStream(46), spec, samples, m)
+    assert len(list(drawn)) == 3
+    dataset = generate_comparisons(RngStream(46), spec, samples, m)
+    y = dataset.y.astype(float)
+    weights = np.bincount(dataset.i, weights=y, minlength=samples.n) - np.bincount(
+        dataset.j, weights=y, minlength=samples.n
+    )
+    assert np.array_equal(_label_weights(drawn), weights)
 
 
 def test_estimate_checks_drawn_comparisons_against_the_samples():
