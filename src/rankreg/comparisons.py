@@ -170,7 +170,7 @@ def generate_comparisons(
     Both pair indices are drawn independently, so self-pairs occur; their win probability is exactly 1/2 under
     every link.  The comparisons are the blocks of :class:`_Drawn`, gathered into one dataset, which checks them.
     """
-    drawn = _Drawn(rng, spec, samples, m)  # checks m before anything is allocated
+    drawn = _Drawn(rng, spec, samples.comparison_half, m)  # checks m before anything is allocated
     i, j, y = np.empty((3, m), np.int64)
     for (lo, hi), block in zip(_row_blocks(m), drawn):
         i[lo:hi], j[lo:hi], y[lo:hi] = block
@@ -178,24 +178,25 @@ def generate_comparisons(
 
 
 class _Drawn:
-    """The m comparisons drawn from ``rng``, with a dataset's ``n``, ``m`` and (i, j, y) blocks of ``_row_blocks(m)``.
+    """The m comparisons of ``rows`` drawn from ``rng``, with a dataset's ``n``, ``m`` and (i, j, y) blocks.
 
-    The split is part of the stream.  Draw order is fixed, so results are reproducible per stream: block by block,
-    the block's indices i as one draw of bounded integers, then its j as another, then its label uniforms, all from
-    one generator made at the start of each iteration, so every iteration draws the same blocks.  Nothing is drawn
-    before the first block is asked for.  The blocks are not checked: the indices are drawn in [0, n) and
-    :func:`_labels` makes only ±1.  Labels are not kept here: a block its consumer dropped keeps only i and j, until
-    the next block's are drawn.
+    ``rows`` are the n comparison rows: a :class:`SampleSet`'s comparison half, or a trial's, which makes no sample
+    set.  The blocks are those of ``_row_blocks(m)``, and the split is part of the stream.  Draw order is fixed, so
+    results are reproducible per stream: block by block, the block's indices i as one draw of bounded integers, then
+    its j as another, then its label uniforms, all from one generator made at the start of each iteration, so every
+    iteration draws the same blocks.  Nothing is drawn before the first block is asked for.  The blocks are not
+    checked: the indices are drawn in [0, n) and :func:`_labels` makes only ±1.  Labels are not kept here: a block its
+    consumer dropped keeps only i and j, until the next block's are drawn.
     """
 
-    def __init__(self, rng: RngStream, spec: ModelSpec, samples: SampleSet, m: int):
+    def __init__(self, rng: RngStream, spec: ModelSpec, rows: np.ndarray, m: int):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        self.rng, self.spec, self.samples, self.n, self.m = rng, spec, samples, samples.n, m
+        self.rng, self.spec, self.rows, self.n, self.m = rng, spec, rows, len(rows), m
 
     def __iter__(self):
         g, n = self.rng.generator(), self.n
-        scores = self.samples.comparison_half @ self.spec.beta
+        scores = self.rows @ self.spec.beta
         for lo, hi in _row_blocks(self.m):
             i, j = g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo)
             yield i, j, _labels(self.spec.link, scores[i], scores[j], g.random(hi - lo))

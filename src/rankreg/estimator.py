@@ -19,18 +19,22 @@ from .randomness import SpdMatrix, _row_blocks
 
 
 def estimate_covariance(samples: SampleSet) -> SpdMatrix:
-    """Estimate the feature covariance from the second half of ``samples``.
+    """Estimate the feature covariance from the second half of ``samples``: :func:`_covariance` of its rows."""
+    return _covariance(samples.covariance_half)
+
+
+def _covariance(rows: np.ndarray) -> SpdMatrix:
+    """The covariance estimate of N rows of d features.
 
     Uses the corrected normalization 1/(N - d - 2) so the inverse of the returned estimate is unbiased, and sums
     the scatter matrix over centred :func:`_row_blocks` blocks, one copied at a time.  Raises ValueError when
-    N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter matrix is singular (for example, all covariance
-    rows identical).
+    N <= d + 2, and ``numpy.linalg.LinAlgError`` when the scatter matrix is singular (for example, all rows identical).
     """
-    n, d = samples.n, samples.d
+    n, d = rows.shape
     if n <= d + 2:
         raise ValueError(f"need N > d + 2, got N={n}, d={d}")
-    half, mean = samples.covariance_half, samples.covariance_half.mean(axis=0)
-    blocks = (half[lo:hi] - mean for lo, hi in _row_blocks(n))  # map drops each block before the next is made
+    mean = rows.mean(axis=0)
+    blocks = (rows[lo:hi] - mean for lo, hi in _row_blocks(n))  # map drops each block before the next is made
     sigma = functools.reduce(np.add, map(lambda c: c.T @ c, blocks)) / (n - d - 2)
     return SpdMatrix((sigma + sigma.T) / 2)
 
@@ -52,21 +56,27 @@ def _label_weights(comparisons) -> np.ndarray:
     return weights
 
 
+def _solve(sigma: SpdMatrix, total: np.ndarray, m: int) -> np.ndarray:
+    """The whitened average Σ̂⁻¹ total / m, by one d x d solve; raises ValueError when it is not finite."""
+    beta_hat = np.linalg.solve(sigma.entries, total) / m
+    if not np.isfinite(beta_hat).all():
+        raise ValueError("beta_hat has non-finite entries")
+    return beta_hat
+
+
 def estimate_beta(dataset: ComparisonDataset, samples: SampleSet) -> np.ndarray:
     """Label-weighted average of feature differences, whitened by :func:`estimate_covariance` of ``samples``.
 
     ``dataset`` is what :func:`_label_weights` reads, with its ``m``, and is read once, by it: the sum of
     y * (x_i - x_j) over the comparisons is the label weights times the comparison rows, O(M + Nd), and the whitening
-    solve is applied once to it.  Raises ValueError when ``dataset`` indexes another number of rows than ``samples``
-    compares, or when the result is not finite.
+    solve is applied once to it.  That product is one matrix-vector product over N rows, which BLAS may split across
+    its threads, so the estimate's bits can differ between thread counts.  Raises ValueError when ``dataset`` indexes
+    another number of rows than ``samples`` compares, or when the result is not finite.
     """
     if dataset.n != samples.n:
         raise ValueError(f"dataset indexes {dataset.n} rows but samples provide {samples.n}")
-    sigma = estimate_covariance(samples)  # before the first block, so its blocks and the comparisons never coexist
-    beta_hat = np.linalg.solve(sigma.entries, _label_weights(dataset) @ samples.comparison_half) / dataset.m
-    if not np.isfinite(beta_hat).all():
-        raise ValueError("beta_hat has non-finite entries")
-    return beta_hat
+    sigma = estimate_covariance(samples)  # first, so N <= d + 2 fails before any comparison is drawn or read
+    return _solve(sigma, _label_weights(dataset) @ samples.comparison_half, dataset.m)
 
 
 def _same_shape(beta_hat, beta) -> tuple[np.ndarray, np.ndarray]:

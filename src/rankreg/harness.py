@@ -33,8 +33,8 @@ from .comparisons import (
     generate_comparisons,
     generate_samples,
 )
-from .estimator import angle, estimate_beta, norm_error
-from .randomness import RngStream, _mix, make_covariance, sample_ground_truth
+from .estimator import _covariance, _label_weights, _solve, angle, norm_error
+from .randomness import RngStream, _gaussian_blocks, _mix, _row_blocks, make_covariance, sample_ground_truth
 
 SWEEPABLE = ("n", "m", "d", "lambda_min")
 M_RULES = ("fixed", "n_log_n")
@@ -177,18 +177,55 @@ def realize_model(stream: RngStream, d: int, lambda_min: float, target_pe: float
 
 
 def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):
-    """(samples, dataset): 2n feature rows, then m labeled comparisons, as trials and ``generate`` draw them.
+    """(samples, dataset): 2n feature rows, then m labeled comparisons, as ``generate`` draws them.
 
-    The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.  A
-    trial reads the same comparisons as the blocks of a :class:`_Drawn`, never gathered into one dataset or checked.
+    The rows come from ``stream.child("features")`` and the comparisons from ``stream.child("comparisons")``.  A trial
+    draws the same rows and comparisons and gets the same estimate, but makes neither a sample set nor a dataset: see
+    :func:`_trial_estimate`.
     """
-    return _simulated(stream, model, n, m, generate_comparisons)
-
-
-def _simulated(stream: RngStream, model: ModelSpec, n: int, m: int, draw) -> tuple:
-    """(samples, draw(comparisons stream, model, samples, m)) with the streams of :func:`simulate`."""
     samples = generate_samples(stream.child("features"), model, n)
-    return samples, draw(stream.child("comparisons"), model, samples, m)
+    return samples, generate_comparisons(stream.child("comparisons"), model, samples, m)
+
+
+def _trial_estimate(stream: RngStream, model: ModelSpec, n: int, m: int) -> np.ndarray:
+    """``estimate_beta(*reversed(simulate(stream, model, n, m)))``, bit for bit, holding one feature half at a time.
+
+    The 2n feature rows are drawn in place, in the blocks and order of ``generate_samples``.  The comparison half is
+    drawn first, the comparisons of ``stream.child("comparisons")`` are summed over it (:class:`_Drawn`, never
+    gathered or checked), and it is dropped; only then is the covariance half drawn, which gives Σ̂ and the solve.
+    So the halves coexist only in the block that straddles row n when the number of blocks is odd.  That block is
+    drawn whole and its rows are copied into each half in turn, or, when it is the only block, both halves are its
+    views.
+    """
+    d, straddle = model.d, None
+    single = next(_row_blocks(2 * n)) == (0, 2 * n)
+    rows, offset = (None if single else np.empty((n, d))), 0
+
+    def into(lo, hi):
+        nonlocal straddle
+        if lo < n < hi:
+            straddle = np.empty((hi - lo, d))
+            return straddle
+        return rows[lo - offset : hi - offset]
+
+    blocks = _gaussian_blocks(stream.child("features"), model.mu, model.sigma, 2 * n, into)
+    lo, hi = next((lo, hi) for lo, hi in blocks if hi >= n)  # the block holding row n - 1 is the last one drawn
+    if single:
+        rows = straddle[:n]
+    elif straddle is not None:
+        rows[lo:] = straddle[: n - lo]
+    total = _label_weights(_Drawn(stream.child("comparisons"), model, rows, m)) @ rows
+    if single:
+        rows = straddle[n:]
+    else:
+        rows = None  # the comparison half is freed before the covariance half is made
+        rows, offset = np.empty((n, d)), n
+        if straddle is not None:
+            rows[: hi - n] = straddle[n - lo :]
+            straddle = None
+        for _ in blocks:  # the rest of the covariance half
+            pass
+    return _solve(_covariance(rows), total, m)
 
 
 def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
@@ -197,13 +234,15 @@ def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
 
 
 def _run_trial(config: TrialConfig, repetition_index: int, realize) -> TrialResult:
-    """``run_trial`` that takes its model from ``realize``, called with :func:`realize_model`'s arguments."""
+    """``run_trial`` that takes its model from ``realize``, called with :func:`realize_model`'s arguments.
+
+    The estimate is :func:`_trial_estimate`'s, which holds the trial's 2n feature rows one half at a time.
+    """
     start = time.perf_counter()
     try:
         stream = trial_stream(config, repetition_index)
         model, _, c1 = realize(stream, config.d, config.lambda_min, config.target_pe)
-        samples, drawn = _simulated(stream, model, config.n, config.m, _Drawn)
-        beta_hat = estimate_beta(drawn, samples)
+        beta_hat = _trial_estimate(stream, model, config.n, config.m)
         ang = angle(beta_hat, model.beta)
         err = None if c1 is None else norm_error(beta_hat, model.beta, c1)
     except Exception as exc:

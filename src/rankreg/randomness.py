@@ -151,11 +151,26 @@ def sample_gaussian(rng: RngStream, mu: np.ndarray, sigma: SpdMatrix, count: int
         raise ValueError(f"count must be >= 1, got {count}")
     if mu.shape != (sigma.dim,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({sigma.dim},)")
-    g, x = rng.generator(), np.empty((count, sigma.dim))
-    for lo, hi in _row_blocks(count):
-        np.matmul(g.standard_normal((hi - lo, sigma.dim)), sigma.cholesky.T, out=x[lo:hi])
-        x[lo:hi] += mu
+    x = np.empty((count, sigma.dim))
+    for _ in _gaussian_blocks(rng, mu, sigma, count, lambda lo, hi: x[lo:hi]):
+        pass
     return x
+
+
+def _gaussian_blocks(rng: RngStream, mu: np.ndarray, sigma: SpdMatrix, count: int, into):
+    """Draw the rows of ``sample_gaussian(rng, mu, sigma, count)``, one :func:`_row_blocks` block at a time.
+
+    Each block is written in place into ``into(lo, hi)``, an array of its hi - lo rows, and its (lo, hi) is yielded
+    once written.  A block is drawn only when the next one is asked for, so ``into`` may hand out arrays made between
+    blocks.  The arguments are not checked.
+    """
+    g = rng.generator()
+    for lo, hi in _row_blocks(count):
+        out = into(lo, hi)
+        np.matmul(g.standard_normal((hi - lo, sigma.dim)), sigma.cholesky.T, out=out)
+        out += mu
+        del out  # so a paused draw holds no view of the array the block went into
+        yield lo, hi
 
 
 def sample_ground_truth(rng: RngStream, d: int) -> tuple[np.ndarray, np.ndarray]:

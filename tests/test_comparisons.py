@@ -248,7 +248,7 @@ def test_comparison_blocks_draw_i_then_j_then_the_uniforms_block_by_block(n, lin
             parts.append((g.integers(0, n, size=hi - lo), g.integers(0, n, size=hi - lo), g.random(hi - lo)))
         i, j, u = (np.concatenate(draws) for draws in zip(*parts))
         y = np.where(u < link.prob(scores[i] - scores[j]), 1, -1)
-        drawn = comparisons._Drawn(RngStream(71), spec, samples, m)
+        drawn = comparisons._Drawn(RngStream(71), spec, samples.comparison_half, m)
         assert (drawn.n, drawn.m) == (n, m)
         blocks = list(drawn)
         assert all(len(block) == 3 for block in blocks)
@@ -296,7 +296,7 @@ def test_a_dropped_block_keeps_no_labels_while_the_next_is_drawn():
 
     spec, rng = _model(d=3, beta=[0.5, -1.0, 2.0]), SimpleNamespace(generator=lambda: Generator(np.random.PCG64(75)))
     samples = generate_samples(RngStream(74), spec, 100)
-    blocks = iter(comparisons._Drawn(rng, spec, samples, 3 * comparisons._BLOCK_ROWS))
+    blocks = iter(comparisons._Drawn(rng, spec, samples.comparison_half, 3 * comparisons._BLOCK_ROWS))
     block = next(blocks)
     refs = [weakref.ref(block[0], lambda _: events.append("i")), weakref.ref(block[2], lambda _: events.append("y"))]
     del block
@@ -322,7 +322,7 @@ def test_a_dataset_iterates_as_views_of_its_blocks():
 def test_drawn_comparisons_iterated_again_draw_the_same_blocks():
     spec = _model(d=3, beta=[0.5, -1.0, 2.0])
     samples = generate_samples(RngStream(77), spec, 60)
-    drawn = comparisons._Drawn(RngStream(78), spec, samples, 2 * comparisons._BLOCK_ROWS + 9)
+    drawn = comparisons._Drawn(RngStream(78), spec, samples.comparison_half, 2 * comparisons._BLOCK_ROWS + 9)
     first, second = list(drawn), list(drawn)
     assert len(first) == len(second) == 2
     for a, b in zip(first, second):
@@ -378,7 +378,7 @@ def _whole_array_flip_fraction(dataset, spec, samples):
 def test_flip_fraction_of_drawn_comparisons_is_that_of_their_dataset(link, m):
     spec = _model(d=3, beta=[0.5, -1.0, 2.0], link=link)
     samples = generate_samples(RngStream(80), spec, 40)
-    drawn = comparisons._Drawn(RngStream(81), spec, samples, m)
+    drawn = comparisons._Drawn(RngStream(81), spec, samples.comparison_half, m)
     data = generate_comparisons(RngStream(81), spec, samples, m)
     expected = _whole_array_flip_fraction(data, spec, samples)
     assert flip_fraction(drawn, spec, samples) == flip_fraction(data, spec, samples) == expected
@@ -400,7 +400,7 @@ def test_flip_fraction_holds_a_few_blocks_of_drawn_comparisons():
     # 12 blocks drawn and read one at a time; the peak, 2.7 blocks' (i, j, y) bytes, was the same at 2 and 40 blocks
     b, spec = comparisons._BLOCK_ROWS, _model(d=3, beta=[0.5, -1.0, 2.0])
     samples = generate_samples(RngStream(84), spec, 50)
-    drawn = comparisons._Drawn(RngStream(85), spec, samples, 12 * b)
+    drawn = comparisons._Drawn(RngStream(85), spec, samples.comparison_half, 12 * b)
     tracemalloc.start()
     try:
         flip_fraction(drawn, spec, samples)

@@ -229,7 +229,7 @@ def test_estimate_of_blocks_is_the_estimate_of_their_dataset():
 def test_label_weights_of_drawn_blocks_are_the_bincount_of_their_dataset():
     spec = ModelSpec(np.ones(3), np.zeros(3), SpdMatrix(np.eye(3)), LogisticLink(2.0))
     samples, m = generate_samples(RngStream(45), spec, 30), 3 * _BLOCK_ROWS + 5
-    drawn = comparisons._Drawn(RngStream(46), spec, samples, m)
+    drawn = comparisons._Drawn(RngStream(46), spec, samples.comparison_half, m)
     assert len(list(drawn)) == 3
     dataset = generate_comparisons(RngStream(46), spec, samples, m)
     y = dataset.y.astype(float)
@@ -242,7 +242,8 @@ def test_label_weights_of_drawn_blocks_are_the_bincount_of_their_dataset():
 def test_estimate_checks_drawn_comparisons_against_the_samples():
     samples, _ = _random_instance(42)
     spec = ModelSpec(np.ones(3), np.zeros(3), SpdMatrix(np.eye(3)), LogisticLink(2.0))
-    drawn = comparisons._Drawn(RngStream(43), spec, generate_samples(RngStream(44), spec, 30), 500)
+    rows = generate_samples(RngStream(44), spec, 30).comparison_half
+    drawn = comparisons._Drawn(RngStream(43), spec, rows, 500)
     with pytest.raises(ValueError, match="dataset indexes 30 rows but samples provide 40"):
         estimate_beta(drawn, samples)
 

@@ -161,13 +161,14 @@ def test_run_trial_noiseless_has_no_shrinkage_constant():
 
 
 def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
-    # 2n*d*8 B of features, then the larger of two phases that never overlap: one block of fewer than 2 * _BLOCK_ROWS
-    # rows of d floats (the standard normals behind the features, or a centred block of the covariance sum), or one
-    # comparison block of 8253 rows while it is drawn and summed.  That is 49 B a row (i, j, the scores at i and j, the
-    # uniforms, the labels and their boolean) plus 16 B a row of n for the scores and label weights, 0.72 MB here, so
-    # the first phase sets the bound.  numpy.random is imported first, as its 0.7 MB of module objects are no trial's.
-    # Over seeds 0..47 the trial peaks 0.94 MB below the bound, so a copy of the features (6.4 MB) or all
-    # m = 198,070 i, j and y (4.75 MB; gathered, the trial peaked 3.8 MB over the bound) break it
+    # n*d*8 B of features, one half at a time, then the larger of two phases that never overlap: one block of fewer
+    # than 2 * _BLOCK_ROWS rows of d floats (the standard normals behind the features, or a centred block of the
+    # covariance sum), or one comparison block of 8253 rows while it is drawn and summed.  That is 49 B a row (i, j, the
+    # scores at i and j, the uniforms, the labels and their boolean) plus 16 B a row of n for the scores and label
+    # weights, 0.72 MB here, so the first phase sets the bound.  The 2n rows make 4 blocks, so no block straddles row n.
+    # numpy.random is imported first, as its 0.7 MB of module objects are no trial's.  Over seeds 0..23 the trial peaks
+    # 0.94 MB below the bound, so both halves at once (3.2 MB more; holding them, the trial peaked 2.26 MB over the
+    # bound) or all m = 198,070 i, j and y (4.75 MB) break it
     config = TrialConfig(d=20, n=20_000, m=m_from_n(20_000), lambda_min=0.5, target_pe=0.0)
     block_rows = max(hi - lo for lo, hi in _row_blocks(config.m))
     np.random.default_rng()
@@ -178,7 +179,7 @@ def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
     finally:
         tracemalloc.stop()
     comparison_phase = 49 * block_rows + 16 * config.n
-    assert peak <= 2 * config.n * config.d * 8 + max(comparison_phase, 2 * _BLOCK_ROWS * config.d * 8)
+    assert peak <= config.n * config.d * 8 + max(comparison_phase, 2 * _BLOCK_ROWS * config.d * 8)
 
 
 def test_a_trial_peak_is_flat_in_the_comparison_budget():
@@ -199,23 +200,19 @@ def test_a_trial_peak_is_flat_in_the_comparison_budget():
     assert peak(2_000_000) - peak(200_000) < _BLOCK_ROWS * 24
 
 
-def test_a_trial_of_many_blocks_estimates_what_its_gathered_comparisons_give(monkeypatch):
-    config = TrialConfig(d=5, n=1000, m=2 * _BLOCK_ROWS + 3, lambda_min=0.5, target_pe=0.2)
-    estimates = []
-
-    def spy(dataset, samples):
-        estimates.append(estimate_beta(dataset, samples))
-        return estimates[-1]
-
-    monkeypatch.setattr(harness, "estimate_beta", spy)
+@pytest.mark.parametrize("target_pe", [0.0, 0.2], ids=["sign", "logistic"])
+@pytest.mark.parametrize("n", [1000, 16_384, 12_345], ids=["one-block", "even-split", "straddling-block"])
+def test_a_trial_of_many_blocks_estimates_what_its_gathered_comparisons_give(n, target_pe):
+    # the 2n feature rows make one block, 4 blocks split evenly at row n, or 3 blocks, the middle one straddling row n
+    config = TrialConfig(d=5, n=n, m=2 * _BLOCK_ROWS + 3, lambda_min=0.5, target_pe=target_pe)
     result = run_trial(config, 1)
     stream = trial_stream(config, 1)
     model, _, c1 = realize_model(stream, config.d, config.lambda_min, config.target_pe)
     samples = generate_samples(stream.child("features"), model, config.n)
     beta_hat = estimate_beta(generate_comparisons(stream.child("comparisons"), model, samples, config.m), samples)
-    assert np.array_equal(estimates, [beta_hat])
+    assert np.array_equal(harness._trial_estimate(stream, model, config.n, config.m), beta_hat)
     assert result.angle == angle(beta_hat, model.beta)
-    assert result.norm_error == norm_error(beta_hat, model.beta, c1)
+    assert result.norm_error == (None if c1 is None else norm_error(beta_hat, model.beta, c1))
 
 
 def test_more_samples_tighten_the_angle():
