@@ -523,7 +523,8 @@ def _read_csv(path, header, dtype) -> np.ndarray:
         text = b""
         while len(text) < hi - lo and (more := pread(hi - lo - len(text), lo + len(text))):
             text += more
-        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        # decoded in f's encoding, as the line-by-line path's lines are, so str fields (the truth file's) match
+        rows = np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None, ndmin=2, encoding=f.encoding)
         if len(rows) != text.count(b"\n"):  # loadtxt skips blank lines
             raise ValueError
         return rows

@@ -34,7 +34,7 @@ from .comparisons import (
     generate_samples,
 )
 from .estimator import _covariance, _label_weights, _solve, angle, norm_error
-from .randomness import RngStream, _gaussian_blocks, _mix, _row_blocks, make_covariance, sample_ground_truth
+from .randomness import RngStream, _gaussian_blocks, _mix, make_covariance, sample_ground_truth
 
 SWEEPABLE = ("n", "m", "d", "lambda_min")
 M_RULES = ("fixed", "n_log_n")
@@ -188,43 +188,34 @@ def simulate(stream: RngStream, model: ModelSpec, n: int, m: int):
 
 
 def _trial_estimate(stream: RngStream, model: ModelSpec, n: int, m: int) -> np.ndarray:
-    """``estimate_beta(*reversed(simulate(stream, model, n, m)))``, bit for bit, holding one feature half at a time.
+    """``estimate_beta(*reversed(simulate(stream, model, n, m)))``, bit for bit, in one (n, d) array of features.
 
     The 2n feature rows are drawn in place, in the blocks and order of ``generate_samples``.  The comparison half is
-    drawn first, the comparisons of ``stream.child("comparisons")`` are summed over it (:class:`_Drawn`, never
-    gathered or checked), and it is dropped; only then is the covariance half drawn, which gives Σ̂ and the solve.
-    So the halves coexist only in the block that straddles row n when the number of blocks is odd.  That block is
-    drawn whole and its rows are copied into each half in turn, or, when it is the only block, both halves are its
-    views.
+    drawn into the array first and the comparisons of ``stream.child("comparisons")`` are summed over it
+    (:class:`_Drawn`, never gathered or checked); then the covariance half is drawn into the same array, which gives
+    Σ̂ and the solve.  The block that straddles row n (the only block when 2n < 16,384, or the middle one when the
+    number of blocks is odd) is drawn whole and its rows are copied into each half in turn.
     """
-    d, straddle = model.d, None
-    single = next(_row_blocks(2 * n)) == (0, 2 * n)
-    rows, offset = (None if single else np.empty((n, d))), 0
+    rows, offset, straddle = np.empty((n, model.d)), 0, None
 
     def into(lo, hi):
         nonlocal straddle
         if lo < n < hi:
-            straddle = np.empty((hi - lo, d))
+            straddle = np.empty((hi - lo, model.d))
             return straddle
         return rows[lo - offset : hi - offset]
 
     blocks = _gaussian_blocks(stream.child("features"), model.mu, model.sigma, 2 * n, into)
     lo, hi = next((lo, hi) for lo, hi in blocks if hi >= n)  # the block holding row n - 1 is the last one drawn
-    if single:
-        rows = straddle[:n]
-    elif straddle is not None:
+    if straddle is not None:
         rows[lo:] = straddle[: n - lo]
     total = _label_weights(_Drawn(stream.child("comparisons"), model, rows, m)) @ rows
-    if single:
-        rows = straddle[n:]
-    else:
-        rows = None  # the comparison half is freed before the covariance half is made
-        rows, offset = np.empty((n, d)), n
-        if straddle is not None:
-            rows[: hi - n] = straddle[n - lo :]
-            straddle = None
-        for _ in blocks:  # the rest of the covariance half
-            pass
+    offset = n
+    if straddle is not None:
+        rows[: hi - n] = straddle[n - lo :]
+        straddle = None
+    for _ in blocks:  # the rest of the covariance half
+        pass
     return _solve(_covariance(rows), total, m)
 
 

@@ -182,6 +182,31 @@ def test_a_trial_holds_its_features_and_comparisons_and_one_block_beyond():
     assert peak <= config.n * config.d * 8 + max(comparison_phase, 2 * _BLOCK_ROWS * config.d * 8)
 
 
+def test_a_trial_holds_its_features_and_the_straddling_block_and_one_block_beyond():
+    # The 2n rows make 3 blocks of 8230 rows, the middle one straddling row n.  A trial holds n*d*8 B of features in
+    # one array, plus the straddling block (1.32 MB), drawn whole and held until its rows are copied into the
+    # covariance half, plus the larger of phases that never overlap: one block of d floats (the standard normals
+    # behind a feature block, or a centred block of the covariance sum, here all n rows as n < 2 * _BLOCK_ROWS), or
+    # one comparison block of 8308 rows while it is drawn and summed (49 B a row plus 16 B a row of n, 0.60 MB).  So
+    # the centred block sets the bound, 5.27 MB.  Over seeds 0..23 the trial peaks 0.64 MB below it, while the
+    # straddling block and its standard normals are held; holding both halves (a second (n, d) array for the
+    # covariance half) peaked 0.74 MB over it
+    config = TrialConfig(d=20, n=12_345, m=m_from_n(12_345), lambda_min=0.5, target_pe=0.0)
+    straddle_rows = next(hi - lo for lo, hi in _row_blocks(2 * config.n) if lo < config.n < hi)
+    block_rows = max(hi - lo for lo, hi in _row_blocks(config.m))
+    float_block_rows = max(hi - lo for count in (config.n, 2 * config.n) for lo, hi in _row_blocks(count))
+    np.random.default_rng()
+    tracemalloc.start()
+    try:
+        run_trial(config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    comparison_phase = 49 * block_rows + 16 * config.n
+    held = (config.n + straddle_rows) * config.d * 8
+    assert peak <= held + max(comparison_phase, float_block_rows * config.d * 8)
+
+
 def test_a_trial_peak_is_flat_in_the_comparison_budget():
     # a trial holds one comparison block, whatever m is: its peak grows by less than one block's i, j and y
     # (0.2 MB) from m = 2e5 to 2e6, where 33 B per comparison held would add ~59 MB.  The growth was -8.9 to
