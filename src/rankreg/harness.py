@@ -227,7 +227,7 @@ def run_trial(config: TrialConfig, repetition_index: int) -> TrialResult:
 def _run_trial(config: TrialConfig, repetition_index: int, realize) -> TrialResult:
     """``run_trial`` that takes its model from ``realize``, called with :func:`realize_model`'s arguments.
 
-    The estimate is :func:`_trial_estimate`'s, which holds the trial's 2n feature rows one half at a time.
+    The estimate is :func:`_trial_estimate`'s, which holds the trial's 2n feature rows in one (n, d) array.
     """
     start = time.perf_counter()
     try:
